@@ -39,6 +39,7 @@ from repro.netlist.generate import random_circuit
 from repro.netlist.stats import circuit_stats
 from repro.netlist.suite import DEFAULT_SCALE, build_suite_circuit
 from repro.netlist.verilog import parse_verilog
+from repro.simulation.backend import BACKEND_CHOICES
 from repro.units import si_format
 
 __all__ = ["main"]
@@ -555,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vcd", default=None, help="dump one slot as VCD")
     p.add_argument("--vcd-slot", type=int, default=0)
     p.add_argument("--backend", default=None,
-                   choices=["auto", "numpy", "numba", "cext"],
+                   choices=BACKEND_CHOICES,
                    help="compute backend (default: REPRO_BACKEND or auto)")
     p.set_defaults(func=_cmd_simulate)
 
@@ -583,7 +584,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-json", default=None,
                    help="write the structured run report to this file")
     p.add_argument("--backend", default=None,
-                   choices=["auto", "numpy", "numba", "cext"],
+                   choices=BACKEND_CHOICES,
                    help="compute backend (default: REPRO_BACKEND or auto)")
     p.set_defaults(func=_cmd_campaign)
 
@@ -610,13 +611,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cache-entries", type=int, default=256,
                    help="result-cache capacity (0 disables the cache)")
     p.add_argument("--backend", default=None,
-                   choices=["auto", "numpy", "numba", "cext"],
+                   choices=BACKEND_CHOICES,
                    help="compute backend (default: REPRO_BACKEND or auto)")
     p.add_argument("--metrics-json", default=None,
                    help="write the final service metrics to this file")
     p.add_argument("--faults", default=None, metavar="SPEC",
                    help="activate a fault-injection plan, e.g. "
-                        "'seed=7;backend.merge_group:raise@n=3' "
+                        "'seed=7;backend.run_level:raise@n=3' "
                         "(also: REPRO_FAULTS env var)")
     p.set_defaults(func=_cmd_serve)
 
@@ -699,7 +700,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--service", action="store_true",
                    help="run iterations through a local simulation service")
     p.add_argument("--backend", default=None,
-                   choices=["numpy", "numba", "cext", "auto"])
+                   choices=BACKEND_CHOICES)
     p.add_argument("--report-json", default=None)
     p.set_defaults(func=_cmd_avfs_loop)
 

@@ -47,7 +47,7 @@ __all__ = [
 
 #: Instrumented seam names (see ``docs/architecture.md`` §10).
 FAULT_SITES = (
-    "backend.merge_group",   # per-group / per-level kernel dispatch
+    "backend.run_level",     # per-level kernel dispatch
     "backend.run_levels",    # whole-batch fused kernel dispatch
     "backend.load",          # backend import / build (inside _load's try)
     "service.demux",         # batch result demultiplexing

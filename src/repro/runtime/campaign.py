@@ -35,6 +35,7 @@ import time as _time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
+from multiprocessing import get_context
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -86,8 +87,7 @@ class CampaignConfig:
         Slots per chunk (the checkpointing and retry granularity).
     num_workers:
         Worker-process count; ``None`` uses the CPU count, ``0`` runs
-        every chunk in-process (no pool — useful where ``fork`` is
-        unavailable).
+        every chunk in-process (no worker processes at all).
     max_worker_attempts:
         Worker-process attempts per chunk before degrading in-process.
     backoff_seconds / backoff_factor:
@@ -153,21 +153,6 @@ def _campaign_chunk(
         # exactly the failure the campaign retry ladder already absorbs.
         os._exit(1)
     return result.waveforms, engine.last_stats
-
-
-def _merge_stats(target: _BatchStats, source: Optional[_BatchStats]) -> None:
-    if source is None:
-        return
-    target.gate_evaluations += source.gate_evaluations
-    target.kernel_calls += source.kernel_calls
-    target.kernel_iterations += source.kernel_iterations
-    target.retries += source.retries
-    target.batches += source.batches
-    target.lanes_skipped += source.lanes_skipped
-    target.demotions.extend(source.demotions)
-    target.delay_seconds += source.delay_seconds
-    target.merge_seconds += source.merge_seconds
-    target.pack_seconds += source.pack_seconds
 
 
 class CampaignRunner:
@@ -391,7 +376,12 @@ class _Execution:
 
     def submit(self, index: int, attempt: int, in_flight: Dict) -> None:
         if self.pool is None:
-            self.pool = ProcessPoolExecutor(max_workers=max(self.workers, 1))
+            # Spawned, not forked: a fork taken after the cext OpenMP
+            # team has started in this process deadlocks on the
+            # worker's first kernel call.
+            self.pool = ProcessPoolExecutor(
+                max_workers=max(self.workers, 1),
+                mp_context=get_context("spawn"))
         config, budget = self.attempt_params(attempt)
         indices, sub = self.chunks[index]
         future = self.pool.submit(
@@ -426,7 +416,7 @@ class _Execution:
             return False
         attempts.append(AttemptReport(
             ENGINE_WORKER, config.waveform_capacity, budget, elapsed))
-        _merge_stats(self.totals, stats)
+        self.totals.merge(stats)
         self.stitch(index, chunk_waveforms)
         self.checkpoint(index, chunk_waveforms)
         return False
@@ -460,7 +450,7 @@ class _Execution:
                 attempts.append(AttemptReport(
                     ENGINE_IN_PROCESS, config.waveform_capacity, budget,
                     _time.perf_counter() - started))
-                _merge_stats(self.totals, engine.last_stats)
+                self.totals.merge(engine.last_stats)
                 self.stitch(index, result.waveforms)
                 self.checkpoint(index, result.waveforms)
                 return

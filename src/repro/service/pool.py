@@ -9,7 +9,9 @@ waits forever.  :class:`EnginePool` replaces it with worker threads a
 supervisor actively watches:
 
 * a **dead** worker (thread no longer alive, batch still assigned) is
-  replaced and its batch re-queued **once** (``PendingBatch.requeued``);
+  replaced and its batch re-queued **once** (``PendingBatch.requeued``)
+  at the *front* of the queue — its jobs have waited longest, and the
+  batch order stays independent of how far submission has run ahead;
   a second loss fails only that batch's jobs with
   :class:`~repro.errors.WorkerLostError`;
 * a **hung** worker (batch executing past ``hang_timeout_s``) cannot be
@@ -29,6 +31,7 @@ batch never leaks a half-mutated arena into the next dispatch.
 
 from __future__ import annotations
 
+import itertools
 import queue as _queue
 import threading
 import time as _time
@@ -75,7 +78,10 @@ class EnginePool:
         self._tick_s = tick_s
         self._on_tick = on_tick
         self._name = name
-        self._queue: "_queue.Queue" = _queue.Queue()
+        # (priority, serial, item): re-queued batches (priority 0) run
+        # before fresh ones, each class in arrival order.
+        self._queue: "_queue.PriorityQueue" = _queue.PriorityQueue()
+        self._serials = itertools.count()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._outstanding = 0
@@ -96,7 +102,10 @@ class EnginePool:
         """Queue one batch for execution (one ``handler(batch)`` call)."""
         with self._lock:
             self._outstanding += 1
-        self._queue.put(batch)
+        self._put(batch)
+
+    def _put(self, item, first: bool = False) -> None:
+        self._queue.put((0 if first else 1, next(self._serials), item))
 
     def stats(self) -> dict:
         with self._lock:
@@ -119,7 +128,7 @@ class EnginePool:
 
     def _worker_loop(self, slot: _WorkerSlot) -> None:
         while True:
-            item = self._queue.get()
+            _, _, item = self._queue.get()
             if item is _STOP:
                 return
             with self._lock:
@@ -127,7 +136,7 @@ class EnginePool:
                     # This thread's slot was abandoned while it idled on
                     # the queue (cannot happen for a *blocked* thread,
                     # but close() may race a steal): hand the item back.
-                    self._queue.put(item)
+                    self._put(item, first=True)
                     return
                 slot.item = item
                 slot.started = _time.monotonic()
@@ -191,23 +200,23 @@ class EnginePool:
                 return
             item = slot.item
             slot.stolen = True
-            self._slots[index] = self._spawn(index)
-            self.workers_replaced += 1
-            if hung:
-                self.workers_hung += 1
             requeue = False
             if item is not None and not item.requeued:
                 item.requeued = True
                 self.batches_requeued += 1
                 requeue = True
-        if item is None:
+                # Queued before the replacement starts, so it is the
+                # next batch executed; the obligation stays outstanding.
+                self._put(item, first=True)
+            self._slots[index] = self._spawn(index)
+            self.workers_replaced += 1
+            if hung:
+                self.workers_hung += 1
+        if item is None or requeue:
             return
-        if requeue:
-            self._queue.put(item)  # the obligation stays outstanding
-        else:
-            self._on_batch_lost(item, WorkerLostError(
-                "engine worker lost while executing a re-queued batch"))
-            self._batch_done()
+        self._on_batch_lost(item, WorkerLostError(
+            "engine worker lost while executing a re-queued batch"))
+        self._batch_done()
 
     # -- shutdown -------------------------------------------------------------
 
@@ -235,6 +244,6 @@ class EnginePool:
         with self._lock:
             slots = list(self._slots)
         for _ in slots:
-            self._queue.put(_STOP)
+            self._put(_STOP)
         for slot in slots:
             slot.thread.join(timeout=5.0)

@@ -1,40 +1,35 @@
 """Pluggable compute backends for the hot simulation kernels.
 
-The engine's inner loops — the waveform-merge kernel and the online
-delay calculation (polynomial Horner evaluation, Sec. IV-A) — exist in
-several implementations behind one interface:
+The engine's inner loop — the waveform-merge kernel with the online
+delay calculation (polynomial Horner evaluation, Sec. IV-A) folded in —
+exists in two implementations behind one interface:
 
-* ``numpy``  — the vectorized lockstep port (always available).  All
-  lanes of a thread group advance through their event streams together;
-  a single long-waveform lane keeps every live lane iterating
-  (mitigated, but not removed, by live-set compaction).
-* ``numba``  — ``@njit(parallel=True)`` per-lane scalar loops over
-  ``prange``: each lane runs its own event loop to exhaustion, the shape
-  GATSPI demonstrates for gate-level SIMT throughput.  Includes a JIT
-  Horner evaluator for :meth:`DelayKernelTable.delays_for_gates`.
-  Gated on ``import numba``.
-* ``cext``   — the same per-lane scalar loops as portable C99, compiled
-  on first use with the system C compiler (OpenMP-parallel) and loaded
-  through :mod:`ctypes`.  Covers machines where numba is not installed
-  but a toolchain is.
-* ``auto``   — the best available: numba, else cext, else numpy.  Never
-  an import error.
+* ``numpy`` — the vectorized lockstep port (always available, the floor
+  on every platform).  All lanes of a level advance through their event
+  streams together; a single long-waveform lane keeps every live lane
+  iterating (mitigated, but not removed, by live-set compaction).
+* ``cext``  — per-lane scalar loops in portable C99, compiled on first
+  use with the system C compiler (OpenMP-parallel) and loaded through
+  :mod:`ctypes`: each lane runs its own event loop to exhaustion, the
+  shape GATSPI demonstrates for gate-level SIMT throughput.
+* ``auto``  — cext when it builds, else numpy.  Never an import error.
 
 Selection order: explicit :attr:`SimulationConfig.backend` (e.g. from
 the ``--backend`` CLI flag), else the ``REPRO_BACKEND`` environment
 variable, else ``auto``.
 
-Equivalence guarantee: every backend implements the exact per-lane
+Equivalence guarantee: both backends implement the exact per-lane
 algorithm of :func:`~repro.simulation.kernels.waveform_merge_kernel`
 with identical IEEE-754 operation order, so results are **bit-identical**
 across backends (asserted in ``tests/simulation/test_backend.py``).
 
 Adding a backend: subclass :class:`ComputeBackend`, implement
-``merge_kernel`` (lane-oriented API, used by micro-benchmarks and the
-gather path), ``merge_group`` (dense arena API, used by the engine) and
-``merge_group_sparse`` (the lane-compacted arena path driven by the
-engine's activity tracker), add a loader branch to :func:`_load` and
-the name to :data:`BACKEND_CHOICES`.
+``merge_kernel`` (lane-oriented API, used by micro-benchmarks) and
+``run_level`` (one whole level against the waveform arena, dense or
+lane-compacted; the engine's only dispatch entry), optionally override
+``run_levels`` with a native whole-batch loop, then add a loader branch
+to :func:`_load` and the name to :data:`BACKEND_CHOICES` and the two
+preference orders.
 """
 
 from __future__ import annotations
@@ -67,10 +62,10 @@ __all__ = [
 ]
 
 #: Valid values for ``SimulationConfig.backend`` / ``REPRO_BACKEND``.
-BACKEND_CHOICES = ("auto", "numpy", "numba", "cext")
+BACKEND_CHOICES = ("auto", "numpy", "cext")
 
 #: Preference order tried by ``auto``.
-AUTO_ORDER = ("numba", "cext", "numpy")
+AUTO_ORDER = ("cext", "numpy")
 
 #: Environment variable consulted when no explicit backend is configured.
 ENV_VAR = "REPRO_BACKEND"
@@ -78,20 +73,20 @@ ENV_VAR = "REPRO_BACKEND"
 
 @dataclass
 class GroupResult:
-    """Outcome of one arena-level thread-group evaluation."""
+    """Outcome of one level evaluation (:meth:`ComputeBackend.run_level`)."""
 
     lanes: int            # gate instances evaluated (gates × slots)
     iterations: int       # kernel loop trips (diagnostics; see note below)
     overflow_lanes: int   # lanes that exceeded the waveform capacity
     #: Seconds spent materializing per-voltage delay arrays inside the
-    #: call (numpy ``run_level`` only; the per-lane backends evaluate
-    #: the Horner kernel inside the merge loop, so their delay work is
-    #: inseparable from — and reported as — merge time).
+    #: call (numpy polynomial mode only; cext evaluates the Horner
+    #: kernel inside the merge loop, so its delay work is inseparable
+    #: from — and reported as — merge time).
     delay_seconds: float = 0.0
 
-    # Note: the numpy backend reports global lockstep iterations, the
-    # per-lane backends report the summed per-lane event count — both
-    # measure kernel work, on different axes.
+    # Note: the numpy backend reports global lockstep iterations, cext
+    # reports the summed per-lane event count — both measure kernel
+    # work, on different axes.
 
 
 @dataclass
@@ -116,12 +111,6 @@ class ComputeBackend:
 
     name = "?"
 
-    #: Which implementation actually executes :meth:`delays_for_gates`.
-    #: The base class evaluates through numpy; backends with a native
-    #: Horner evaluator override this so benchmarks and logs record the
-    #: real execution path instead of a silent fallback.
-    delays_impl = "numpy"
-
     def merge_kernel(
         self,
         input_times: np.ndarray,
@@ -134,83 +123,6 @@ class ComputeBackend:
         """Lane-oriented merge: same contract as
         :func:`~repro.simulation.kernels.waveform_merge_kernel`."""
         raise NotImplementedError
-
-    def merge_group(
-        self,
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        in_ids: np.ndarray,
-        out_ids: np.ndarray,
-        per_voltage: np.ndarray,
-        slot_to_v: np.ndarray,
-        factors: Optional[np.ndarray],
-        truth_tables: np.ndarray,
-        capacity: int,
-        inertial: bool,
-    ) -> GroupResult:
-        """Evaluate one thread group directly against the waveform arena.
-
-        Parameters
-        ----------
-        times_all, initial_all:
-            The ``(nets, slots, capacity)`` toggle-time arena and the
-            ``(nets, slots)`` initial values.  Inputs are read from and
-            outputs written to these arrays in place.
-        in_ids:
-            ``(g, k)`` input net ids per gate of the group.
-        out_ids:
-            ``(g,)`` output net ids.
-        per_voltage:
-            ``(g, k, 2, V)`` pin-to-pin delays per *distinct* voltage.
-        slot_to_v:
-            ``(S,)`` index of each slot's voltage into the ``V`` axis.
-        factors:
-            Optional ``(g, S)`` Monte-Carlo delay factors.
-        truth_tables:
-            ``(g,)`` int64 truth tables.
-
-        On overflow the arena contents for the group's output nets are
-        unspecified — the caller discards the arena and retries at a
-        larger capacity.
-        """
-        raise NotImplementedError
-
-    def merge_group_sparse(
-        self,
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        in_ids: np.ndarray,
-        out_ids: np.ndarray,
-        per_voltage: np.ndarray,
-        slot_to_v: np.ndarray,
-        factors: Optional[np.ndarray],
-        truth_tables: np.ndarray,
-        capacity: int,
-        inertial: bool,
-        lane_gates: np.ndarray,
-        lane_slots: np.ndarray,
-    ) -> GroupResult:
-        """Lane-compacted variant of :meth:`merge_group`.
-
-        Instead of the dense ``gates × slots`` plane, only the lanes
-        listed in ``lane_gates`` / ``lane_slots`` — parallel ``(i,)``
-        index arrays into the group's gate axis and the slot axis — are
-        evaluated.  The engine's activity tracker compacts the plane
-        down to lanes whose inputs actually carry toggles; every other
-        lane's output is a pure logic settle the engine writes itself.
-
-        The per-lane algorithm is the same, so results for dispatched
-        lanes are bit-identical to a dense :meth:`merge_group` call.
-        Output rows of undispatched lanes are left untouched.
-        """
-        raise NotImplementedError
-
-    def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
-                         voltages) -> np.ndarray:
-        """Online delay calculation; same contract as
-        :meth:`DelayKernelTable.delays_for_gates`."""
-        return kernel_table.delays_for_gates(type_ids, loads, nominal_delays,
-                                             voltages)
 
     def run_level(
         self,
@@ -227,31 +139,40 @@ class ComputeBackend:
         delay_cache: Optional[Dict] = None,
         lane_gates: Optional[np.ndarray] = None,
         lane_slots: Optional[np.ndarray] = None,
+        delays: Optional[np.ndarray] = None,
     ) -> GroupResult:
         """Evaluate one whole level (all arity groups) in one call.
 
         ``plan`` is the level's compile-time
         :class:`~repro.simulation.compiled.LevelPlan`: arity-sorted
-        compacted arrays, so the backend loops the arity runs natively
-        instead of one engine dispatch per group.  Delay handling folds
-        into the same entry point:
+        compacted arrays, so the backend loops the arity runs natively.
+        ``times_all``/``initial_all`` are the ``(nets, slots, capacity)``
+        toggle-time arena and the ``(nets, slots)`` initial values;
+        inputs are read from and outputs written to them in place (on
+        overflow the level's output rows are unspecified — the caller
+        discards the arena and retries at a larger capacity).
+        ``slot_to_v`` maps each slot to its distinct-voltage index.
+        Delay handling folds into the same entry point:
 
-        * static mode (``kernel_table is None``) uses ``plan.nominal``
-          unchanged,
-        * parametric mode receives the polynomial table plus the
+        * table mode (``kernel_table is None``) reads a per-gate delay
+          table: ``delays`` — ``(g, P, 2, V)`` per distinct voltage,
+          e.g. filled from a LUT or analytical model — or, when it is
+          ``None``, ``plan.nominal`` unchanged (static mode, ``V = 1``),
+        * polynomial mode receives the
+          :class:`~repro.core.delay_kernel.DelayKernelTable` plus the
           *pre-normalized* predictors — ``nv`` = ``φ_V`` per distinct
           voltage, ``nc`` = ``φ_C`` per plan gate (cached on the plan) —
-          and evaluates the 2-D Horner kernel per (gate, voltage); the
-          per-lane backends do so inside the merge loop, never
-          materializing a per-lane delay array,
+          and evaluates the 2-D Horner kernel per (gate, voltage); cext
+          does so inside the merge loop, never materializing a per-lane
+          delay array,
         * Monte-Carlo ``factors`` (level-local ``(g, S)``, plan gate
-          order) scale each delay exactly as in :meth:`merge_group`.
+          order) scale each delay after the table read.
 
         ``lane_gates`` / ``lane_slots`` (plan-local, ``lane_gates``
-        non-decreasing) select the activity-compacted sparse path.
+        non-decreasing) select the activity-compacted sparse path: only
+        those lanes run, every other output row is left untouched.
         ``delay_cache`` memoizes materialized per-voltage arrays across
-        overflow retries (numpy path only).  Results are bit-identical
-        to the equivalent per-group :meth:`merge_group` dispatch.
+        overflow retries (numpy path only).
         """
         raise NotImplementedError
 
@@ -267,6 +188,7 @@ class ComputeBackend:
         kernel_table=None,
         nv: Optional[np.ndarray] = None,
         delay_cache: Optional[Dict] = None,
+        delays: Optional[np.ndarray] = None,
     ) -> LevelsResult:
         """Evaluate *every* level of the circuit in one backend call.
 
@@ -274,19 +196,20 @@ class ComputeBackend:
         :meth:`run_level` dispatch: levels run strictly in order, each
         against the arena the preceding levels finalized.  ``factors``
         is the full ``(num_gates, S)`` Monte-Carlo array (circuit gate
-        order); backends gather it into plan order themselves.  ``nc``
-        is not a parameter — the per-level ``φ_C`` memos live on
+        order) and ``delays`` a table in concatenated plan-row order
+        (``plans.concat()``); backends slice or gather them themselves.
+        ``nc`` is not a parameter — the per-level ``φ_C`` memos live on
         ``plans``.  Stops at the first level with overflowing lanes so
         the caller can retry at doubled capacity.
 
-        The base implementation loops :meth:`run_level`; backends with
-        per-call dispatch overhead (ctypes marshalling in the C
-        extension) override it with a single native whole-batch entry.
-        Results are bit-identical either way.
+        The base implementation loops :meth:`run_level`; cext overrides
+        it with a single native whole-batch entry, paying its ctypes
+        marshalling once.  Results are bit-identical either way.
         """
         space = kernel_table.space if kernel_table is not None else None
         nc_levels = (plans.normalized_loads(space)
                      if kernel_table is not None else None)
+        offsets = plans.concat().level_offsets
         lanes = 0
         iterations = 0
         kernel_calls = 0
@@ -302,6 +225,8 @@ class ComputeBackend:
                 capacity, inertial, kernel_table=kernel_table, nv=nv,
                 nc=nc_levels[index] if nc_levels is not None else None,
                 delay_cache=delay_cache,
+                delays=(delays[offsets[index]:offsets[index + 1]]
+                        if delays is not None else None),
             )
             lanes += plan.num_gates * num_slots
             iterations += result.iterations
@@ -317,6 +242,65 @@ class ComputeBackend:
                             delay_seconds=delay_seconds)
 
 
+def _merge_dense(times_all, initial_all, in_ids, out_ids, per_voltage,
+                 slot_to_v, factors, truth_tables, capacity, inertial):
+    """Gather a whole ``gates × slots`` plane, merge, scatter back."""
+    group_size, arity = in_ids.shape
+    num_slots = slot_to_v.size
+    lanes = group_size * num_slots
+
+    # Gather inputs: (g, k, S, C) -> (k, g*S, C).
+    input_times = times_all[in_ids].transpose(1, 0, 2, 3).reshape(
+        arity, lanes, capacity
+    )
+    input_initial = initial_all[in_ids].transpose(1, 0, 2).reshape(
+        arity, lanes
+    )
+
+    delays = per_voltage[..., slot_to_v]                     # (g, k, 2, S)
+    if factors is not None:
+        delays = delays * factors[:, None, None, :]
+    delays = np.ascontiguousarray(delays.transpose(1, 2, 0, 3)).reshape(
+        arity, 2, lanes
+    )
+    lane_tables = np.repeat(truth_tables, num_slots)
+
+    merged = waveform_merge_kernel(input_times, input_initial, delays,
+                                   lane_tables, capacity, inertial=inertial)
+    overflow_lanes = int(merged.overflow.sum())
+    if overflow_lanes == 0:
+        times_all[out_ids] = merged.times.reshape(group_size, num_slots,
+                                                  capacity)
+        initial_all[out_ids] = merged.initial.reshape(group_size, num_slots)
+    return merged.iterations, overflow_lanes
+
+
+def _merge_sparse(times_all, initial_all, in_ids, out_ids, per_voltage,
+                  slot_to_v, factors, truth_tables, capacity, inertial,
+                  lane_gates, lane_slots):
+    """Gather only the listed ``(gate, slot)`` lanes, merge, scatter back."""
+    # Gather only the active lanes: (lanes, k, C) -> (k, lanes, C).
+    lane_nets = in_ids[lane_gates]                           # (lanes, k)
+    input_times = np.ascontiguousarray(
+        times_all[lane_nets, lane_slots[:, None]].transpose(1, 0, 2))
+    input_initial = np.ascontiguousarray(
+        initial_all[lane_nets, lane_slots[:, None]].T)       # (k, lanes)
+
+    delays = per_voltage[lane_gates, :, :, slot_to_v[lane_slots]]
+    if factors is not None:                                  # (lanes, k, 2)
+        delays = delays * factors[lane_gates, lane_slots][:, None, None]
+    delays = np.ascontiguousarray(delays.transpose(1, 2, 0))  # (k, 2, lanes)
+    lane_tables = truth_tables[lane_gates]
+
+    merged = waveform_merge_kernel(input_times, input_initial, delays,
+                                   lane_tables, capacity, inertial=inertial)
+    overflow_lanes = int(merged.overflow.sum())
+    if overflow_lanes == 0:
+        times_all[out_ids[lane_gates], lane_slots] = merged.times
+        initial_all[out_ids[lane_gates], lane_slots] = merged.initial
+    return merged.iterations, overflow_lanes
+
+
 class NumpyBackend(ComputeBackend):
     """The vectorized lockstep reference implementation."""
 
@@ -328,77 +312,16 @@ class NumpyBackend(ComputeBackend):
                                      truth_tables, out_capacity,
                                      inertial=inertial)
 
-    def merge_group(self, times_all, initial_all, in_ids, out_ids,
-                    per_voltage, slot_to_v, factors, truth_tables, capacity,
-                    inertial):
-        group_size, arity = in_ids.shape
-        num_slots = slot_to_v.size
-        lanes = group_size * num_slots
-
-        # Gather inputs: (g, k, S, C) -> (k, g*S, C).
-        input_times = times_all[in_ids].transpose(1, 0, 2, 3).reshape(
-            arity, lanes, capacity
-        )
-        input_initial = initial_all[in_ids].transpose(1, 0, 2).reshape(
-            arity, lanes
-        )
-
-        delays = per_voltage[..., slot_to_v]                     # (g, k, 2, S)
-        if factors is not None:
-            delays = delays * factors[:, None, None, :]
-        delays = np.ascontiguousarray(delays.transpose(1, 2, 0, 3)).reshape(
-            arity, 2, lanes
-        )
-        lane_tables = np.repeat(truth_tables, num_slots)
-
-        merged = waveform_merge_kernel(input_times, input_initial, delays,
-                                       lane_tables, capacity,
-                                       inertial=inertial)
-        overflow_lanes = int(merged.overflow.sum())
-        if overflow_lanes == 0:
-            times_all[out_ids] = merged.times.reshape(group_size, num_slots,
-                                                      capacity)
-            initial_all[out_ids] = merged.initial.reshape(group_size,
-                                                          num_slots)
-        return GroupResult(lanes=lanes, iterations=merged.iterations,
-                           overflow_lanes=overflow_lanes)
-
-    def merge_group_sparse(self, times_all, initial_all, in_ids, out_ids,
-                           per_voltage, slot_to_v, factors, truth_tables,
-                           capacity, inertial, lane_gates, lane_slots):
-        lanes = int(lane_gates.size)
-
-        # Gather only the active lanes: (lanes, k, C) -> (k, lanes, C).
-        lane_nets = in_ids[lane_gates]                           # (lanes, k)
-        input_times = np.ascontiguousarray(
-            times_all[lane_nets, lane_slots[:, None]].transpose(1, 0, 2))
-        input_initial = np.ascontiguousarray(
-            initial_all[lane_nets, lane_slots[:, None]].T)       # (k, lanes)
-
-        delays = per_voltage[lane_gates, :, :, slot_to_v[lane_slots]]
-        if factors is not None:                                  # (lanes, k, 2)
-            delays = delays * factors[lane_gates, lane_slots][:, None, None]
-        delays = np.ascontiguousarray(delays.transpose(1, 2, 0))  # (k, 2, lanes)
-        lane_tables = truth_tables[lane_gates]
-
-        merged = waveform_merge_kernel(input_times, input_initial, delays,
-                                       lane_tables, capacity,
-                                       inertial=inertial)
-        overflow_lanes = int(merged.overflow.sum())
-        if overflow_lanes == 0:
-            times_all[out_ids[lane_gates], lane_slots] = merged.times
-            initial_all[out_ids[lane_gates], lane_slots] = merged.initial
-        return GroupResult(lanes=lanes, iterations=merged.iterations,
-                           overflow_lanes=overflow_lanes)
-
     def run_level(self, plan, times_all, initial_all, slot_to_v, factors,
                   capacity, inertial, kernel_table=None, nv=None, nc=None,
-                  delay_cache=None, lane_gates=None, lane_slots=None):
+                  delay_cache=None, lane_gates=None, lane_slots=None,
+                  delays=None):
         delay_seconds = 0.0
         if kernel_table is None:
-            per_voltage = plan.nominal[..., None]        # (g, P, 2, 1)
+            per_voltage = (delays if delays is not None
+                           else plan.nominal[..., None])  # (g, P, 2, V)
         else:
-            key = ("fused", plan.level, nv.tobytes())
+            key = ("polynomial", plan.level, nv.tobytes())
             per_voltage = (delay_cache.get(key)
                            if delay_cache is not None else None)
             if per_voltage is None:
@@ -408,40 +331,32 @@ class NumpyBackend(ComputeBackend):
                 delay_seconds = _time.perf_counter() - start
                 if delay_cache is not None:
                     delay_cache[key] = per_voltage
-        # One padded dispatch for the whole level — the same max_pins
-        # group shape as the unfused level path (don't-care-padded
-        # tables, spare pins on the constant-0 dummy net).  Splitting
-        # into per-arity calls would multiply the lockstep kernel's
-        # fixed per-call cost; per lane the padded op sequence is
-        # bit-identical anyway.
+        # One padded dispatch for the whole level: one max_pins-wide
+        # group with don't-care-padded tables and spare pins on the
+        # constant-0 dummy net.  Splitting into per-arity calls would
+        # multiply the lockstep kernel's fixed per-call cost; per lane
+        # the padded op sequence is bit-identical anyway.
         if lane_gates is not None:
-            result = self.merge_group_sparse(
+            lanes = int(lane_gates.size)
+            iterations, overflow_lanes = _merge_sparse(
                 times_all, initial_all, plan.in_ids, plan.out_ids,
                 per_voltage, slot_to_v, factors, plan.padded_tables,
                 capacity, inertial, lane_gates, lane_slots)
         else:
-            result = self.merge_group(
+            lanes = plan.num_gates * int(slot_to_v.size)
+            iterations, overflow_lanes = _merge_dense(
                 times_all, initial_all, plan.in_ids, plan.out_ids,
                 per_voltage, slot_to_v, factors, plan.padded_tables,
                 capacity, inertial)
-        return GroupResult(lanes=result.lanes, iterations=result.iterations,
-                           overflow_lanes=result.overflow_lanes,
+        return GroupResult(lanes=lanes, iterations=iterations,
+                           overflow_lanes=overflow_lanes,
                            delay_seconds=delay_seconds)
 
 
-class _LaneBackend(ComputeBackend):
-    """Shared shim for the per-lane scalar backends (numba / cext).
+class CextBackend(ComputeBackend):
+    """ctypes-loaded C kernels (requires a working C compiler)."""
 
-    The kernel modules expose a uniform API:
-
-    * ``merge_lanes(times, initial, delays, tables, out_capacity,
-      inertial)`` → ``(initial, times, counts, overflow, iterations)``
-    * ``merge_group(times_all, initial_all, in_ids, out_ids, per_voltage,
-      slot_to_v, factors, tables, capacity, inertial)``
-      → ``(overflow_lanes, iterations)``
-    * ``merge_group_sparse(..., lane_gates, lane_slots)`` — the
-      lane-compacted entry path, same return shape
-    """
+    name = "cext"
 
     def __init__(self, kernels) -> None:
         self._kernels = kernels
@@ -460,113 +375,59 @@ class _LaneBackend(ComputeBackend):
         return MergeResult(initial=initial, times=times, counts=counts,
                            overflow=overflow, iterations=int(iterations))
 
-    def merge_group(self, times_all, initial_all, in_ids, out_ids,
-                    per_voltage, slot_to_v, factors, truth_tables, capacity,
-                    inertial):
-        lanes = in_ids.shape[0] * slot_to_v.size
-        overflow_lanes, iterations = self._kernels.merge_group(
-            times_all, initial_all, in_ids, out_ids, per_voltage, slot_to_v,
-            factors, truth_tables, capacity, inertial,
-        )
-        return GroupResult(lanes=lanes, iterations=int(iterations),
-                           overflow_lanes=int(overflow_lanes))
-
-    def merge_group_sparse(self, times_all, initial_all, in_ids, out_ids,
-                           per_voltage, slot_to_v, factors, truth_tables,
-                           capacity, inertial, lane_gates, lane_slots):
-        overflow_lanes, iterations = self._kernels.merge_group_sparse(
-            times_all, initial_all, in_ids, out_ids, per_voltage, slot_to_v,
-            factors, truth_tables, capacity, inertial, lane_gates, lane_slots,
-        )
-        return GroupResult(lanes=int(lane_gates.size),
-                           iterations=int(iterations),
-                           overflow_lanes=int(overflow_lanes))
+    @staticmethod
+    def _coefficients(kernel_table, pins: int):
+        if kernel_table is None:
+            return None
+        if pins > kernel_table.max_pins:
+            raise SimulationError(
+                f"gates have {pins} pins but the kernel table holds "
+                f"{kernel_table.max_pins}"
+            )
+        return kernel_table.coefficients
 
     def run_level(self, plan, times_all, initial_all, slot_to_v, factors,
                   capacity, inertial, kernel_table=None, nv=None, nc=None,
-                  delay_cache=None, lane_gates=None, lane_slots=None):
-        coeffs = None
-        if kernel_table is not None:
-            if plan.nominal.shape[1] > kernel_table.max_pins:
-                raise SimulationError(
-                    f"gates have {plan.nominal.shape[1]} pins but the "
-                    f"kernel table holds {kernel_table.max_pins}"
-                )
-            coeffs = kernel_table.coefficients
+                  delay_cache=None, lane_gates=None, lane_slots=None,
+                  delays=None):
+        coeffs = self._coefficients(kernel_table, plan.nominal.shape[1])
         overflow_lanes, iterations = self._kernels.run_level(
             times_all, initial_all, plan.in_ids, plan.out_ids, plan.tables,
-            plan.arities, plan.type_ids, plan.nominal, coeffs, nv, nc,
-            slot_to_v, factors, capacity, inertial, lane_gates, lane_slots,
+            plan.arities, plan.type_ids,
+            delays if delays is not None else plan.nominal,
+            coeffs, nv, nc, slot_to_v, factors, capacity, inertial,
+            lane_gates, lane_slots,
         )
         lanes = (int(lane_gates.size) if lane_gates is not None
                  else plan.num_gates * int(slot_to_v.size))
         return GroupResult(lanes=lanes, iterations=int(iterations),
                            overflow_lanes=int(overflow_lanes))
 
-
-class NumbaBackend(_LaneBackend):
-    """``@njit(parallel=True)`` per-lane loops (requires numba)."""
-
-    name = "numba"
-    delays_impl = "numba"
-
-    def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
-                         voltages):
-        if not hasattr(kernel_table, "coefficients"):
-            # Duck-typed delay model (LUT / analytical): only the
-            # ``delays_for_gates`` protocol is guaranteed.
-            return super().delays_for_gates(kernel_table, type_ids, loads,
-                                            nominal_delays, voltages)
-        return self._kernels.delays_for_gates(kernel_table, type_ids, loads,
-                                              nominal_delays, voltages)
-
-
-class CextBackend(_LaneBackend):
-    """ctypes-loaded C kernels (requires a working C compiler)."""
-
-    name = "cext"
-    delays_impl = "cext"
-
     def run_levels(self, plans, times_all, initial_all, slot_to_v, factors,
                    capacity, inertial, kernel_table=None, nv=None,
-                   delay_cache=None):
+                   delay_cache=None, delays=None):
         # One ctypes crossing for the whole batch: the C entry loops the
         # levels over the concatenated plan arrays, so the per-call
-        # marshalling cost (~15 array arguments) is paid once instead of
+        # marshalling cost (~20 array arguments) is paid once instead of
         # once per level.
         cat = plans.concat()
         if cat.out_ids.size == 0:
             return LevelsResult(lanes=0, iterations=0, overflow_lanes=0,
                                 kernel_calls=0)
-        coeffs = nc = None
-        if kernel_table is not None:
-            if cat.nominal.shape[1] > kernel_table.max_pins:
-                raise SimulationError(
-                    f"gates have {cat.nominal.shape[1]} pins but the "
-                    f"kernel table holds {kernel_table.max_pins}"
-                )
-            coeffs = kernel_table.coefficients
-            nc = plans.concat_normalized_loads(kernel_table.space)
+        coeffs = self._coefficients(kernel_table, cat.nominal.shape[1])
+        nc = (plans.concat_normalized_loads(kernel_table.space)
+              if kernel_table is not None else None)
         gathered = (np.ascontiguousarray(factors[cat.gate_indices])
                     if factors is not None else None)
         overflow_lanes, iterations, levels_done, lanes = \
             self._kernels.run_levels(
-                times_all, initial_all, cat, coeffs, nv, nc, slot_to_v,
-                gathered, capacity, inertial,
+                times_all, initial_all, cat,
+                delays if delays is not None else cat.nominal,
+                coeffs, nv, nc, slot_to_v, gathered, capacity, inertial,
             )
         return LevelsResult(lanes=int(lanes), iterations=int(iterations),
                             overflow_lanes=int(overflow_lanes),
                             kernel_calls=int(levels_done))
-
-    def delays_for_gates(self, kernel_table, type_ids, loads, nominal_delays,
-                         voltages):
-        if not hasattr(kernel_table, "coefficients"):
-            # Duck-typed delay model (LUT / analytical): only the
-            # ``delays_for_gates`` protocol is guaranteed.
-            return super().delays_for_gates(kernel_table, type_ids, loads,
-                                            nominal_delays, voltages)
-        return self._kernels.delays_for_gates(kernel_table, type_ids, loads,
-                                              nominal_delays, voltages)
 
 
 # -- registry ----------------------------------------------------------------------
@@ -592,9 +453,6 @@ def _load(name: str) -> Optional[ComputeBackend]:
         faults.trip("backend.load")
         if name == "numpy":
             backend: ComputeBackend = NumpyBackend()
-        elif name == "numba":
-            from repro.simulation import kernels_numba
-            backend = NumbaBackend(kernels_numba)
         elif name == "cext":
             from repro.simulation import kernels_cext
             backend = CextBackend(kernels_cext.load())
@@ -653,16 +511,15 @@ def backend_status() -> Dict[str, str]:
 
 
 #: Demotion ladder walked when a native kernel faults repeatedly: from
-#: the most accelerated backend down to the always-available numpy port.
-DEMOTION_ORDER = ("cext", "numba", "numpy")
+#: the native backend down to the always-available numpy port.
+DEMOTION_ORDER = ("cext", "numpy")
 
 
 def demote_backend(name: str) -> Optional[ComputeBackend]:
     """Next *loadable* backend below ``name`` on the demotion ladder.
 
-    Skips rungs whose dependency is missing on this machine (e.g.
-    cext → numpy when numba is not installed).  Returns ``None`` at the
-    numpy floor — there is nothing safer to fall back to.
+    Skips rungs that do not load on this machine.  Returns ``None`` at
+    the numpy floor — there is nothing safer to fall back to.
     """
     try:
         position = DEMOTION_ORDER.index(name)

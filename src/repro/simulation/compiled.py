@@ -6,9 +6,10 @@ form in which the paper stores the netlist in GPU global memory:
 * nets are numbered (primary inputs first, then gate outputs),
 * per gate: cell type id, input net ids (padded), output net id, load
   capacitance, nominal pin-to-pin delays and a truth table,
-* gates are bucketed into topological levels, and within each level into
-  same-arity groups (the SIMD thread groups of Sec. IV-B: all threads of
-  a group execute the same gate-function kernel).
+* gates are bucketed into topological levels; each level's
+  :class:`LevelPlan` sorts its gates into same-arity runs (the SIMD
+  thread groups of Sec. IV-B: all threads of a group execute the same
+  gate-function kernel).
 """
 
 from __future__ import annotations
@@ -65,14 +66,14 @@ def _pad_truth_table(table: int, arity: int, padded_arity: int) -> int:
 
 @dataclass
 class LevelPlan:
-    """Compacted per-level execution plan for the fused dispatch path.
+    """Compacted per-level execution plan (the engine's dispatch unit).
 
     All arrays are gathered once at plan-build time and list the level's
     gates sorted by (arity, gate index), so same-arity gates form
     contiguous runs — a backend's ``run_level`` walks every arity group
     in one native call instead of one Python dispatch per group.  The
-    per-lane backends use the *unpadded* ``tables`` and loop only each
-    gate's real pins; the vectorized numpy backend uses the don't-care
+    per-lane cext backend uses the *unpadded* ``tables`` and loops only
+    each gate's real pins; the vectorized numpy backend uses the don't-care
     ``padded_tables`` and dispatches the whole level as one
     ``max_pins``-wide group.  With the spare-pin inputs wired to the
     constant-0 dummy net the two are bit-equivalent.
@@ -118,6 +119,7 @@ class ConcatPlans:
     out_ids: np.ndarray        # (G,)
     tables: np.ndarray         # (G,) unpadded truth tables
     type_ids: np.ndarray       # (G,)
+    loads: np.ndarray          # (G,)
     nominal: np.ndarray        # (G, max_pins, 2)
 
     @property
@@ -231,6 +233,7 @@ class CircuitPlans:
             out_ids=_cat("out_ids", (0,), np.int64),
             tables=_cat("tables", (0,), np.int64),
             type_ids=_cat("type_ids", (0,), np.int64),
+            loads=_cat("loads", (0,), np.float64),
             nominal=_cat("nominal", (0, self.max_pins, 2), np.float64),
         )
         with self._lock:
@@ -401,20 +404,11 @@ class CompiledCircuit:
     padded_inputs: np.ndarray        # (G, max_pins) net ids, spare pins -> dummy net
     dummy_net_id: int                # constant-0 net fed to spare pins
     levels: List[np.ndarray]         # gate indices per level
-    level_groups: List[List[Tuple[int, np.ndarray]]]  # per level: (arity, gate idx)
     #: int64 views of the truth tables, in the exact dtype the kernel
-    #: backends consume — gathered per gate group without a per-call
-    #: ``astype`` reallocation.
+    #: backends consume — gathered into the level plans without a
+    #: per-call ``astype`` reallocation.
     truth_tables_i64: np.ndarray         # (G,) int64
     padded_truth_tables_i64: np.ndarray  # (G,) int64
-    #: Per-level fanin bookkeeping: the padded input net ids, output net
-    #: ids and int64 truth tables of each level's gates, gathered once at
-    #: compile time (the engine reads them per level, per batch, per
-    #: overflow retry — and the activity tracker derives its per-(gate,
-    #: slot) active mask from ``level_inputs``).
-    level_inputs: List[np.ndarray]   # per level: (g, max_pins) net ids
-    level_outputs: List[np.ndarray]  # per level: (g,) net ids
-    level_tables: List[np.ndarray]   # per level: (g,) int64 padded tables
 
     @property
     def num_gates(self) -> int:
@@ -530,17 +524,6 @@ def compile_circuit(
     padded_inputs[padded_inputs < 0] = dummy_net_id
 
     levels = [np.asarray(bucket, dtype=np.int64) for bucket in circuit.levelize()]
-    level_groups: List[List[Tuple[int, np.ndarray]]] = []
-    for bucket in levels:
-        groups: Dict[int, List[int]] = {}
-        for gate_index in bucket:
-            groups.setdefault(int(gate_arity[gate_index]), []).append(int(gate_index))
-        level_groups.append(
-            [(arity, np.asarray(indices, dtype=np.int64))
-             for arity, indices in sorted(groups.items())]
-        )
-
-    padded_tables_i64 = padded_tables.astype(np.int64)
 
     return CompiledCircuit(
         circuit=circuit,
@@ -560,10 +543,6 @@ def compile_circuit(
         padded_inputs=padded_inputs,
         dummy_net_id=dummy_net_id,
         levels=levels,
-        level_groups=level_groups,
         truth_tables_i64=truth_tables.astype(np.int64),
-        padded_truth_tables_i64=padded_tables_i64,
-        level_inputs=[padded_inputs[bucket] for bucket in levels],
-        level_outputs=[gate_output[bucket] for bucket in levels],
-        level_tables=[padded_tables_i64[bucket] for bucket in levels],
+        padded_truth_tables_i64=padded_tables.astype(np.int64),
     )

@@ -7,7 +7,7 @@ three dimensions of parallelism map onto array axes:
   level are structurally independent and evaluated together as one
   uniform SIMD thread group (narrow gates run with don't-care-padded
   truth tables and a constant dummy input, so control flow never
-  diverges; an optional per-arity grouping mode exists for ablation),
+  diverges),
 * **stimuli × operating points** — the slot plane (Fig. 3): each kernel
   call spans ``lanes = gates_in_level × slots`` with per-lane waveform
   data and per-lane delays,
@@ -17,7 +17,10 @@ three dimensions of parallelism map onto array axes:
   evaluated once per *distinct* voltage and broadcast to slots, because
   parallel instances of a gate share coefficients and function calls
   (Sec. IV-B).  In static mode the SDF nominal delays are used unchanged
-  — the baseline [25] configuration.
+  — the baseline [25] configuration.  Any other delay model with the
+  ``delays_for_gates`` protocol (LUT, analytical; Sec. IV-B's closing
+  remark) fills a per-gate, per-voltage delay table once per batch,
+  which the kernel reads in place of the nominal delays.
 
 Waveform memory is a dense ``(nets, slots, capacity)`` float64 array with
 ``+inf`` termination, like the GPU global-memory layout.  Overflowing
@@ -41,18 +44,20 @@ bookkeeping could not pay for itself.  Quiet lanes get their settled
 output value from a vectorized truth-table lookup; results are
 bit-identical to dense evaluation (``config.prune_inactive=False``).
 
-The kernels themselves are pluggable (:mod:`repro.simulation.backend`):
-the vectorized lockstep numpy port, JIT-compiled per-lane loops (numba),
-or compiled C (cext).  The JIT backends consume per-gate net-id index
-arrays and read/write the waveform arena in place, skipping the
-``(k, lanes, capacity)`` gather copy and the output reshape of the numpy
-path entirely.
+Every level runs through one dispatch path: the backend's fused
+``run_level`` over the level's precompiled plan (or ``run_levels`` for a
+whole dense batch).  The kernels themselves are pluggable
+(:mod:`repro.simulation.backend`): the vectorized lockstep numpy port or
+compiled C (cext).  cext consumes per-gate net-id index arrays and
+reads/writes the waveform arena in place, skipping the ``(k, lanes,
+capacity)`` gather copy and the output reshape of the numpy path
+entirely.
 """
 
 from __future__ import annotations
 
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -142,9 +147,9 @@ class _BatchStats:
     #: in order; ``backend`` reflects the post-demotion backend.
     demotions: List[str] = field(default_factory=list)
     #: Per-phase wall time (seconds): online delay evaluation, waveform
-    #: merge kernels, and waveform pack/settle.  In fused dispatch the
-    #: lane backends evaluate delays inside the merge loop, so their
-    #: delay share is folded into ``merge_seconds``.
+    #: merge kernels, and waveform pack/settle.  The cext backend
+    #: evaluates polynomial delays inside the merge loop, so its delay
+    #: share is folded into ``merge_seconds``.
     delay_seconds: float = 0.0
     merge_seconds: float = 0.0
     pack_seconds: float = 0.0
@@ -168,6 +173,24 @@ class _BatchStats:
             "merge": self.merge_seconds,
             "pack": self.pack_seconds,
         }
+
+    def merge(self, other: Optional["_BatchStats"]) -> None:
+        """Fold another run's stats into these (chunked execution).
+
+        Every counter and timer is summed, demotion steps are appended
+        in order, and a non-empty ``backend`` of ``other`` wins.
+        """
+        if other is None:
+            return
+        for item in fields(self):
+            mine = getattr(self, item.name)
+            theirs = getattr(other, item.name)
+            if item.name == "backend":
+                self.backend = theirs or mine
+            elif item.name == "demotions":
+                mine.extend(theirs)
+            else:
+                setattr(self, item.name, mine + theirs)
 
 
 class _ArenaPool:
@@ -205,13 +228,6 @@ class _ArenaPool:
 class GpuWaveSim:
     """Massively parallel waveform simulator (NumPy-SIMT).
 
-    Parameters
-    ----------
-    group_by_arity:
-        ``False`` (default): one kernel call per level with padded truth
-        tables.  ``True``: split levels into per-arity groups (smaller
-        calls, no padding overhead) — kept for the ablation benchmark.
-
     The compute backend executing the kernels follows
     ``config.backend`` / the ``REPRO_BACKEND`` environment variable
     (default ``auto``; see :mod:`repro.simulation.backend`).
@@ -226,12 +242,10 @@ class GpuWaveSim:
         config: Optional[SimulationConfig] = None,
         compiled: Optional[CompiledCircuit] = None,
         memory_budget: int = DEFAULT_MEMORY_BUDGET,
-        group_by_arity: bool = False,
     ) -> None:
         self.config = config or SimulationConfig()
         self.compiled = compiled or compile_circuit(circuit, library, annotation, loads)
         self.memory_budget = memory_budget
-        self.group_by_arity = group_by_arity
         if self.config.faults:
             faults.ensure(self.config.faults)
         self.backend: ComputeBackend = resolve_backend(self.config.backend)
@@ -241,11 +255,9 @@ class GpuWaveSim:
         self.demotions: List[str] = []
         self._kernel_faults = 0
         self._arena_pool = _ArenaPool()
-        # Fused dispatch needs the per-level compacted plans; resolved
-        # lazily (and fingerprint-cached across engines/services) on
-        # first use.  Ablation per-arity grouping keeps the unfused path.
+        # Per-level compacted plans; resolved lazily (and
+        # fingerprint-cached across engines/services) on first use.
         self._plans = None
-        self._fused = bool(self.config.fused) and not group_by_arity
 
     # -- public API ----------------------------------------------------------------
 
@@ -269,10 +281,12 @@ class GpuWaveSim:
         plan:
             Slot plane; defaults to all pairs at the single ``voltage``.
         kernel_table:
-            Compiled polynomial delay kernels.  ``None`` selects static
-            (nominal SDF) delays — the baseline [25] configuration; plans
-            spanning several voltages then raise, because static delays
-            cannot differentiate operating points.
+            Compiled polynomial delay kernels, or any delay model with
+            the ``delays_for_gates`` protocol (e.g.
+            :class:`~repro.core.backends.LutDelayBackend`).  ``None``
+            selects static (nominal SDF) delays — the baseline [25]
+            configuration; plans spanning several voltages then raise,
+            because static delays cannot differentiate operating points.
         variation:
             Optional :class:`~repro.simulation.variation.ProcessVariation`;
             each slot then gets its own random per-gate delay factors
@@ -419,14 +433,13 @@ class GpuWaveSim:
 
         The batch is retried on the same backend until ``demote_after``
         consecutive faults, then the backend is demoted one rung
-        (cext → numba → numpy, skipping unavailable rungs) and the
-        counter resets.  Returns False — re-raise — at the numpy floor,
-        so total attempts are bounded by ``demote_after × rungs``.  A
-        successful demoted retry leaves the engine on the demoted
-        backend: a native kernel that faulted repeatedly is not trusted
-        again.  (:class:`WorkerDeathError` is a ``BaseException`` and
-        never reaches this handler — a dead worker is not a kernel
-        fault.)
+        (cext → numpy) and the counter resets.  Returns False — re-raise
+        — at the numpy floor, so total attempts are bounded by
+        ``demote_after × rungs``.  A successful demoted retry leaves the
+        engine on the demoted backend: a native kernel that faulted
+        repeatedly is not trusted again.  (:class:`WorkerDeathError` is
+        a ``BaseException`` and never reaches this handler — a dead
+        worker is not a kernel fault.)
         """
         del error  # the retry decision depends only on the fault count
         self._kernel_faults += 1
@@ -573,73 +586,11 @@ class GpuWaveSim:
                 global_slots = np.arange(num_slots)
             factors = variation.factors(compiled.num_gates, global_slots)
 
-        # Level-wise processing (the vertical grid dimension).  Fused
-        # dispatch needs the polynomial kernel table (its coefficients
-        # feed the in-kernel Horner evaluation); duck-typed alternative
-        # delay models (LUT / analytical backends) take the unfused
-        # per-group path, which only requires ``delays_for_gates``.
-        fused = self._fused and (kernel_table is None
-                                 or isinstance(kernel_table, DelayKernelTable))
-        if fused:
-            # One backend call per level over the precompiled plan, with
-            # predictor normalizations (phi_V, phi_C) resolved once from
-            # the fingerprint-cached plan memos.
-            plans = self._plans
-            if plans is None:
-                plans = self._plans = compiled.plans()
-            nv = None
-            nc_levels = None
-            if kernel_table is not None:
-                nv = plans.normalized_voltages(kernel_table.space, distinct_v)
-                nc_levels = plans.normalized_loads(kernel_table.space)
-            if activity is None:
-                # Dense batch: hand the whole level sequence to the
-                # backend in one call (the C extension loops levels
-                # natively, paying its ctypes marshalling cost once).
-                self._run_levels(
-                    plans, times_all, initial_all, slot_to_v, kernel_table,
-                    nv, capacity, inertial, stats, factors=factors,
-                    delay_cache=delay_cache,
-                )
-            else:
-                for level_index, level_plan in enumerate(plans.levels):
-                    self._run_level(
-                        level_plan, times_all, initial_all, slot_to_v,
-                        kernel_table, nv,
-                        nc_levels[level_index]
-                        if nc_levels is not None else None,
-                        capacity, inertial, stats, factors=factors,
-                        delay_cache=delay_cache, activity=activity,
-                    )
-        else:
-            for level_index, level_gates in enumerate(compiled.levels):
-                if self.group_by_arity:
-                    for group_index, (arity, gate_indices) in enumerate(
-                            compiled.level_groups[level_index]):
-                        self._run_group(
-                            gate_indices, arity,
-                            compiled.gate_inputs[gate_indices, :arity],
-                            compiled.gate_output[gate_indices],
-                            compiled.truth_tables_i64[gate_indices],
-                            times_all, initial_all,
-                            distinct_v, slot_to_v, kernel_table, capacity,
-                            inertial, stats, factors=factors,
-                            delay_cache=delay_cache,
-                            cache_key=(level_index, group_index),
-                            activity=activity,
-                        )
-                else:
-                    self._run_group(
-                        level_gates, compiled.max_pins,
-                        compiled.level_inputs[level_index],
-                        compiled.level_outputs[level_index],
-                        compiled.level_tables[level_index],
-                        times_all, initial_all,
-                        distinct_v, slot_to_v, kernel_table, capacity,
-                        inertial, stats, factors=factors,
-                        delay_cache=delay_cache, cache_key=(level_index,),
-                        activity=activity,
-                    )
+        # Level-wise processing (the vertical grid dimension).
+        self._dispatch_levels(
+            times_all, initial_all, distinct_v, slot_to_v, kernel_table,
+            capacity, inertial, stats, factors, delay_cache,
+            activity=activity)
 
         pack_start = _time.perf_counter()
         if capture is not None:
@@ -824,12 +775,9 @@ class GpuWaveSim:
             raise WaveformOverflowError(
                 f"base waveforms exceed capacity {capacity}")
 
-        plans = self._plans
-        if plans is None:
-            plans = self._plans = compiled.plans()
         rows, inverse = np.unique(delta.changed_inputs, axis=0,
                                   return_inverse=True)
-        activity = plans.input_cones(compiled, rows)[:, inverse]
+        activity = self._level_plans().input_cones(compiled, rows)[:, inverse]
 
         times_all, initial_all = self._arena_pool.acquire(
             compiled.num_nets + 1, num_slots, capacity)
@@ -865,50 +813,10 @@ class GpuWaveSim:
         if variation is not None:
             factors = variation.factors(compiled.num_gates, global_slots)
 
-        fused = self._fused and (kernel_table is None
-                                 or isinstance(kernel_table, DelayKernelTable))
-        if fused:
-            nv = None
-            nc_levels = None
-            if kernel_table is not None:
-                nv = plans.normalized_voltages(kernel_table.space, distinct_v)
-                nc_levels = plans.normalized_loads(kernel_table.space)
-            for level_index, level_plan in enumerate(plans.levels):
-                self._run_level(
-                    level_plan, times_all, initial_all, slot_to_v,
-                    kernel_table, nv,
-                    nc_levels[level_index]
-                    if nc_levels is not None else None,
-                    capacity, inertial, stats, factors=factors,
-                    delay_cache=delay_cache, activity=activity,
-                    splice=True)
-        else:
-            for level_index, level_gates in enumerate(compiled.levels):
-                if self.group_by_arity:
-                    for group_index, (arity, gate_indices) in enumerate(
-                            compiled.level_groups[level_index]):
-                        self._run_group(
-                            gate_indices, arity,
-                            compiled.gate_inputs[gate_indices, :arity],
-                            compiled.gate_output[gate_indices],
-                            compiled.truth_tables_i64[gate_indices],
-                            times_all, initial_all,
-                            distinct_v, slot_to_v, kernel_table, capacity,
-                            inertial, stats, factors=factors,
-                            delay_cache=delay_cache,
-                            cache_key=(level_index, group_index),
-                            activity=activity, splice=True)
-                else:
-                    self._run_group(
-                        level_gates, compiled.max_pins,
-                        compiled.level_inputs[level_index],
-                        compiled.level_outputs[level_index],
-                        compiled.level_tables[level_index],
-                        times_all, initial_all,
-                        distinct_v, slot_to_v, kernel_table, capacity,
-                        inertial, stats, factors=factors,
-                        delay_cache=delay_cache, cache_key=(level_index,),
-                        activity=activity, splice=True)
+        self._dispatch_levels(
+            times_all, initial_all, distinct_v, slot_to_v, kernel_table,
+            capacity, inertial, stats, factors, delay_cache,
+            activity=activity, splice=True)
 
         pack_start = _time.perf_counter()
         if capture is not None:
@@ -1012,15 +920,9 @@ class GpuWaveSim:
         quiet = first.shape[0]
         initial = np.zeros((compiled.num_nets + 1, quiet), dtype=np.uint8)
         initial[compiled.input_net_ids] = first.T
-        for level_index in range(len(compiled.levels)):
-            in_ids = compiled.level_inputs[level_index]
-            tables = compiled.level_tables[level_index]
-            out_ids = compiled.level_outputs[level_index]
-            index = np.zeros((in_ids.shape[0], quiet), dtype=np.int64)
-            for pin in range(in_ids.shape[1]):
-                index |= initial[in_ids[:, pin]].astype(np.int64) << pin
-            initial[out_ids] = ((tables[:, None] >> index) & 1).astype(
-                np.uint8)
+        for plan in self._level_plans().levels:
+            self._settle_group_outputs(plan.in_ids, plan.out_ids,
+                                       plan.tables, initial, quiet)
         return initial, inverse
 
     def _settle_waveforms(self, initial: np.ndarray, inverse: np.ndarray
@@ -1093,169 +995,117 @@ class GpuWaveSim:
                 position = end
         return result
 
-    def _group_delays(
-        self,
-        gate_indices: np.ndarray,
-        arity: int,
-        distinct_v: np.ndarray,
-        kernel_table: Optional[DelayKernelTable],
-        delay_cache: Optional[Dict],
-        cache_key: tuple,
-    ) -> np.ndarray:
-        """Per-gate ``(g, arity, 2, V)`` delays per distinct voltage.
+    def _level_plans(self):
+        """The circuit's level plans (resolved once per engine)."""
+        if self._plans is None:
+            self._plans = self.compiled.plans()
+        return self._plans
 
-        Parametric results are memoized per (group, voltage set): they
-        depend only on the gates and the distinct voltages, never on the
-        waveform capacity, so overflow retries reuse them.
+    def _model_delays(
+        self,
+        plans,
+        model,
+        distinct_v: np.ndarray,
+        delay_cache: Optional[Dict],
+        stats: _BatchStats,
+    ) -> np.ndarray:
+        """``(G, P, 2, V)`` delay table of a non-polynomial delay model.
+
+        Any model with the ``delays_for_gates`` protocol (LUT,
+        analytical) fills the table once over the concatenated plan rows
+        and the batch's distinct voltages; the kernel then reads it like
+        the static nominal table.  Memoized per voltage set: the table
+        never depends on the waveform capacity, so overflow retries
+        reuse it.
         """
-        compiled = self.compiled
-        if kernel_table is None:
-            return compiled.nominal_delays[gate_indices, :arity][..., None]
-        key = cache_key + (distinct_v.tobytes(),)
+        key = ("model", distinct_v.tobytes())
         if delay_cache is not None and key in delay_cache:
             return delay_cache[key]
-        per_voltage = self.backend.delays_for_gates(
-            kernel_table,
-            compiled.gate_type_ids[gate_indices],
-            compiled.gate_loads[gate_indices],
-            compiled.nominal_delays[gate_indices],
-            distinct_v,
-        )[:, :arity]                                       # (g, k, 2, V)
+        start = _time.perf_counter()
+        cat = plans.concat()
+        table = np.ascontiguousarray(model.delays_for_gates(
+            cat.type_ids, cat.loads, cat.nominal, distinct_v),
+            dtype=np.float64)
+        stats.delay_seconds += _time.perf_counter() - start
+        expected = cat.nominal.shape + (distinct_v.size,)
+        if table.shape != expected:
+            raise SimulationError(
+                f"delay model returned a {table.shape} table, expected "
+                f"{expected}")
         if delay_cache is not None:
-            delay_cache[key] = per_voltage
-        return per_voltage
+            delay_cache[key] = table
+        return table
+
+    def _dispatch_levels(
+        self,
+        times_all: np.ndarray,
+        initial_all: np.ndarray,
+        distinct_v: np.ndarray,
+        slot_to_v: np.ndarray,
+        kernel_table,
+        capacity: int,
+        inertial: bool,
+        stats: _BatchStats,
+        factors: Optional[np.ndarray],
+        delay_cache: Optional[Dict],
+        activity: Optional[np.ndarray] = None,
+        splice: bool = False,
+    ) -> None:
+        """Evaluate every level of a batch against the arena.
+
+        Resolves the delay inputs once — the polynomial table's
+        plan-cached predictor normalizations (``φ_V``, ``φ_C``), or a
+        delay-model table (:meth:`_model_delays`), or nothing (static
+        nominal delays) — then hands a dense batch to the backend in
+        one :meth:`_run_levels` call and an activity-tracked one level
+        by level through :meth:`_run_level`.
+        """
+        plans = self._level_plans()
+        polynomial = (kernel_table
+                      if isinstance(kernel_table, DelayKernelTable) else None)
+        nv = nc_levels = delays = None
+        if polynomial is not None:
+            nv = plans.normalized_voltages(polynomial.space, distinct_v)
+            nc_levels = plans.normalized_loads(polynomial.space)
+        elif kernel_table is not None:
+            delays = self._model_delays(plans, kernel_table, distinct_v,
+                                        delay_cache, stats)
+        if activity is None:
+            # Dense batch: the whole level sequence in one backend call
+            # (cext loops levels natively, paying its ctypes marshalling
+            # cost once).
+            self._run_levels(plans, times_all, initial_all, slot_to_v,
+                             polynomial, nv, delays, capacity, inertial,
+                             stats, factors, delay_cache)
+            return
+        offsets = plans.concat().level_offsets
+        for index, plan in enumerate(plans.levels):
+            self._run_level(
+                plan, times_all, initial_all, slot_to_v, polynomial, nv,
+                nc_levels[index] if nc_levels is not None else None,
+                (delays[offsets[index]:offsets[index + 1]]
+                 if delays is not None else None),
+                capacity, inertial, stats, factors, delay_cache,
+                activity=activity, splice=splice)
 
     @staticmethod
     def _settle_group_outputs(
         in_ids: np.ndarray,
         out_ids: np.ndarray,
         tables: np.ndarray,
-        arity: int,
         initial_all: np.ndarray,
         num_slots: int,
     ) -> None:
         """Write every lane's settled output value into ``initial_all``
-        via one vectorized truth-table lookup over the group plane."""
+        via one vectorized truth-table lookup over the level plane.
+
+        Spare pins read the constant-0 dummy net, so they never set an
+        index bit and the unpadded tables apply."""
         index = np.zeros((in_ids.shape[0], num_slots), dtype=np.int64)
-        for pin in range(arity):
+        for pin in range(in_ids.shape[1]):
             index |= initial_all[in_ids[:, pin]].astype(np.int64) << pin
         initial_all[out_ids] = ((tables[:, None] >> index) & 1).astype(
             np.uint8)
-
-    def _run_group(
-        self,
-        gate_indices: np.ndarray,
-        arity: int,
-        in_ids: np.ndarray,
-        out_ids: np.ndarray,
-        tables: np.ndarray,
-        times_all: np.ndarray,
-        initial_all: np.ndarray,
-        distinct_v: np.ndarray,
-        slot_to_v: np.ndarray,
-        kernel_table: Optional[DelayKernelTable],
-        capacity: int,
-        inertial: bool,
-        stats: _BatchStats,
-        factors: Optional[np.ndarray] = None,
-        delay_cache: Optional[Dict] = None,
-        cache_key: tuple = (),
-        activity: Optional[np.ndarray] = None,
-        splice: bool = False,
-    ) -> None:
-        """Evaluate one SIMD thread group across all slots.
-
-        ``in_ids``/``out_ids``/``tables`` are the group's ``(g, k)``
-        input net ids, ``(g,)`` output net ids and ``(g,)`` int64 truth
-        tables — the whole level with don't-care-padded tables and a
-        constant dummy net on spare pins, or a same-arity subset
-        (ablation mode).  The compute backend does the actual work
-        against the waveform arena.
-
-        With ``activity`` (the per-(net, slot) toggle mask), quiet lanes
-        never count as evaluated and their (pooled, +inf-reset) arena
-        row stays empty.  How they settle depends on the group's active
-        share: mostly-quiet groups take the lane-compacted backend path
-        (quiet outputs via a vectorized truth-table lookup, only active
-        lanes dispatched); mostly-active groups dispatch dense, because
-        the kernel settles a toggle-free lane in about one iteration —
-        cheaper than the compaction bookkeeping.  The lane *accounting*
-        is decoupled from the dispatch choice, so the
-        ``gate_evaluations`` / ``lanes_skipped`` split is invariant
-        across backends and slot-plane chunkings either way.
-
-        With ``splice=True`` (delta cone evaluation) ``activity`` is the
-        *static* cone-of-influence mask: lanes outside it are spliced
-        from the base arena rather than skipped, so their count goes to
-        ``lanes_spliced``, and the mask is never mutated — the all-quiet
-        write is a no-op by cone construction (``cone[out] =
-        any(cone[in])``), while the end-of-group ``isfinite`` narrowing
-        would wrongly re-activate non-cone outputs whose seeded base
-        rows carry toggles.
-        """
-        if gate_indices.size == 0:
-            return
-        num_slots = slot_to_v.size
-        total_lanes = in_ids.shape[0] * num_slots
-
-        # Online delay calculation (Sec. IV-A): adapt the nominal delays
-        # to each distinct operating point (static mode: V = 1).
-        delay_start = _time.perf_counter()
-        per_voltage = self._group_delays(gate_indices, arity, distinct_v,
-                                         kernel_table, delay_cache, cache_key)
-        stats.delay_seconds += _time.perf_counter() - delay_start
-        group_factors = factors[gate_indices] if factors is not None else None
-
-        lane_gates = lane_slots = None
-        active_lanes = total_lanes
-        if activity is not None:
-            lane_active = activity[in_ids].any(axis=1)           # (g, S)
-            active_lanes = int(np.count_nonzero(lane_active))
-            if splice:
-                stats.lanes_spliced += total_lanes - active_lanes
-            else:
-                stats.lanes_skipped += total_lanes - active_lanes
-            if active_lanes == 0:
-                # Whole group is quiet: settle, outputs stay toggle-free.
-                self._settle_group_outputs(in_ids, out_ids, tables, arity,
-                                           initial_all, num_slots)
-                if not splice:
-                    activity[out_ids] = False
-                return
-            if active_lanes < total_lanes * SPARSE_DISPATCH_FRACTION:
-                # Settle every lane's output from the input initial
-                # values — the same table lookup the kernel performs
-                # before its event loop, so dispatched lanes just
-                # rewrite the same byte.
-                self._settle_group_outputs(in_ids, out_ids, tables, arity,
-                                           initial_all, num_slots)
-                lane_gates, lane_slots = np.nonzero(lane_active)
-
-        faults.trip("backend.merge_group")
-        merge_start = _time.perf_counter()
-        if lane_gates is not None:
-            result = self.backend.merge_group_sparse(
-                times_all, initial_all, in_ids, out_ids, per_voltage,
-                slot_to_v, group_factors, tables, capacity, inertial,
-                lane_gates, lane_slots,
-            )
-        else:
-            result = self.backend.merge_group(
-                times_all, initial_all, in_ids, out_ids, per_voltage,
-                slot_to_v, group_factors, tables, capacity, inertial,
-            )
-        stats.merge_seconds += _time.perf_counter() - merge_start
-        stats.gate_evaluations += active_lanes
-        stats.kernel_calls += 1
-        stats.kernel_iterations += result.iterations
-        if result.overflow_lanes:
-            raise WaveformOverflowError(
-                f"{result.overflow_lanes} lanes exceeded capacity {capacity}"
-            )
-        if activity is not None and not splice:
-            # A net is active downstream iff the lane kept >= 1 toggle
-            # (all-cancelled lanes settle back to a quiet output).
-            activity[out_ids] = np.isfinite(times_all[out_ids, :, 0])
 
     def _run_levels(
         self,
@@ -1265,13 +1115,14 @@ class GpuWaveSim:
         slot_to_v: np.ndarray,
         kernel_table: Optional[DelayKernelTable],
         nv: Optional[np.ndarray],
+        delays: Optional[np.ndarray],
         capacity: int,
         inertial: bool,
         stats: _BatchStats,
-        factors: Optional[np.ndarray] = None,
-        delay_cache: Optional[Dict] = None,
+        factors: Optional[np.ndarray],
+        delay_cache: Optional[Dict],
     ) -> None:
-        """Whole-batch fused dispatch: every level in one backend call.
+        """Whole-batch dispatch: every level in one backend call.
 
         Dense counterpart of the per-level :meth:`_run_level` loop, used
         when no activity tracking is in effect (every lane of every
@@ -1284,7 +1135,7 @@ class GpuWaveSim:
         result = self.backend.run_levels(
             plans, times_all, initial_all, slot_to_v, factors, capacity,
             inertial, kernel_table=kernel_table, nv=nv,
-            delay_cache=delay_cache,
+            delay_cache=delay_cache, delays=delays,
         )
         wall = _time.perf_counter() - merge_start
         stats.delay_seconds += result.delay_seconds
@@ -1306,31 +1157,50 @@ class GpuWaveSim:
         kernel_table: Optional[DelayKernelTable],
         nv: Optional[np.ndarray],
         nc: Optional[np.ndarray],
+        delays: Optional[np.ndarray],
         capacity: int,
         inertial: bool,
         stats: _BatchStats,
-        factors: Optional[np.ndarray] = None,
-        delay_cache: Optional[Dict] = None,
+        factors: Optional[np.ndarray],
+        delay_cache: Optional[Dict],
         activity: Optional[np.ndarray] = None,
         splice: bool = False,
     ) -> None:
-        """Fused dispatch of one whole level via its precompiled plan.
+        """Dispatch one whole level via its precompiled plan.
 
         One :meth:`ComputeBackend.run_level` call covers every arity
-        group of the level; the lane backends evaluate the Horner delay
-        kernel inside the merge loop per (gate, voltage), so no per-lane
-        delay array is materialized.  ``nv``/``nc`` are the plan-cached
-        predictor normalizations (``None`` in static mode).  The
-        activity classification, lane accounting and results are
-        bit-identical to the unfused :meth:`_run_group` path — plan rows
-        are arity-sorted, but lanes are independent and each output net
-        is written by exactly one gate.
+        group of the level; cext evaluates the Horner delay kernel
+        inside the merge loop per (gate, voltage), so no per-lane delay
+        array is materialized.  ``nv``/``nc`` are the plan-cached
+        predictor normalizations of a polynomial table, ``delays`` the
+        level's rows of a delay-model table (both ``None`` in static
+        mode).
+
+        With ``activity`` (the per-(net, slot) toggle mask), quiet lanes
+        never count as evaluated and their (pooled, +inf-reset) arena
+        row stays empty.  How they settle depends on the level's active
+        share: mostly-quiet levels take the lane-compacted backend path
+        (quiet outputs via a vectorized truth-table lookup, only active
+        lanes dispatched); mostly-active levels dispatch dense, because
+        the kernel settles a toggle-free lane in about one iteration —
+        cheaper than the compaction bookkeeping.  The lane *accounting*
+        is decoupled from the dispatch choice, so the
+        ``gate_evaluations`` / ``lanes_skipped`` split is invariant
+        across backends and slot-plane chunkings either way.
+
+        With ``splice=True`` (delta cone evaluation) ``activity`` is the
+        *static* cone-of-influence mask: lanes outside it are spliced
+        from the base arena rather than skipped, so their count goes to
+        ``lanes_spliced``, and the mask is never mutated — the all-quiet
+        write is a no-op by cone construction (``cone[out] =
+        any(cone[in])``), while the end-of-level ``isfinite`` narrowing
+        would wrongly re-activate non-cone outputs whose seeded base
+        rows carry toggles.
         """
         if plan.num_gates == 0:
             return
         num_slots = slot_to_v.size
         total_lanes = plan.num_gates * num_slots
-        max_pins = plan.in_ids.shape[1]
         group_factors = (factors[plan.gate_indices]
                          if factors is not None else None)
 
@@ -1344,25 +1214,30 @@ class GpuWaveSim:
             else:
                 stats.lanes_skipped += total_lanes - active_lanes
             if active_lanes == 0:
+                # Whole level is quiet: settle, outputs stay toggle-free.
                 self._settle_group_outputs(plan.in_ids, plan.out_ids,
-                                           plan.tables, max_pins,
-                                           initial_all, num_slots)
+                                           plan.tables, initial_all,
+                                           num_slots)
                 if not splice:
                     activity[plan.out_ids] = False
                 return
             if active_lanes < total_lanes * SPARSE_DISPATCH_FRACTION:
+                # Settle every lane's output from the input initial
+                # values — the same table lookup the kernel performs
+                # before its event loop, so dispatched lanes just
+                # rewrite the same byte.
                 self._settle_group_outputs(plan.in_ids, plan.out_ids,
-                                           plan.tables, max_pins,
-                                           initial_all, num_slots)
+                                           plan.tables, initial_all,
+                                           num_slots)
                 lane_gates, lane_slots = np.nonzero(lane_active)
 
-        faults.trip("backend.merge_group")
+        faults.trip("backend.run_level")
         merge_start = _time.perf_counter()
         result = self.backend.run_level(
             plan, times_all, initial_all, slot_to_v, group_factors,
             capacity, inertial, kernel_table=kernel_table, nv=nv, nc=nc,
             delay_cache=delay_cache, lane_gates=lane_gates,
-            lane_slots=lane_slots,
+            lane_slots=lane_slots, delays=delays,
         )
         wall = _time.perf_counter() - merge_start
         stats.delay_seconds += result.delay_seconds
@@ -1375,5 +1250,7 @@ class GpuWaveSim:
                 f"{result.overflow_lanes} lanes exceeded capacity {capacity}"
             )
         if activity is not None and not splice:
+            # A net is active downstream iff the lane kept >= 1 toggle
+            # (all-cancelled lanes settle back to a quiet output).
             activity[plan.out_ids] = np.isfinite(
                 times_all[plan.out_ids, :, 0])

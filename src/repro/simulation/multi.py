@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,23 +64,6 @@ def _run_chunk(
     result = engine.run(pairs, plan=plan, kernel_table=kernel_table,
                         variation=variation, global_slots=global_slots)
     return result.waveforms, engine.last_stats
-
-
-def _merge_stats(target: _BatchStats, source: Optional[_BatchStats]) -> None:
-    if source is None:
-        return
-    target.gate_evaluations += source.gate_evaluations
-    target.kernel_calls += source.kernel_calls
-    target.kernel_iterations += source.kernel_iterations
-    target.retries += source.retries
-    target.batches += source.batches
-    target.lanes_skipped += source.lanes_skipped
-    target.demotions.extend(source.demotions)
-    target.delay_seconds += source.delay_seconds
-    target.merge_seconds += source.merge_seconds
-    target.pack_seconds += source.pack_seconds
-    if source.backend:
-        target.backend = source.backend
 
 
 def _chunk_pairs(pairs: Sequence[PatternPair],
@@ -176,7 +160,11 @@ class MultiDeviceWaveSim:
         chunks = list(plan.batches(chunk_size))
         waveforms: List[Optional[Dict[str, Waveform]]] = [None] * plan.num_slots
         totals = _BatchStats()
-        with ProcessPoolExecutor(max_workers=devices) as pool:
+        # Spawned, not forked: a fork taken after the cext OpenMP team
+        # has started in this process deadlocks on the worker's first
+        # kernel call.
+        with ProcessPoolExecutor(max_workers=devices,
+                                 mp_context=get_context("spawn")) as pool:
             futures = []
             for indices, sub in chunks:
                 sub_pairs, sub_indices = _chunk_pairs(pairs,
@@ -190,7 +178,7 @@ class MultiDeviceWaveSim:
                 ))
             for (indices, _sub), future in zip(chunks, futures):
                 chunk_waveforms, chunk_stats = future.result()
-                _merge_stats(totals, chunk_stats)
+                totals.merge(chunk_stats)
                 for local, slot in enumerate(indices):
                     waveforms[int(slot)] = chunk_waveforms[local]
 

@@ -10,6 +10,7 @@ from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
 from repro.simulation.gpu import GpuWaveSim
+from repro.simulation.grid import SlotPlan
 from repro.units import FF
 
 
@@ -82,6 +83,24 @@ class TestLutBackend:
         with_lut = sim.run(pairs, voltage=0.65, kernel_table=lut_backend)
         report = compare_results(with_poly, with_lut, time_tolerance=2e-12)
         assert report.shape_clean or not report.mismatches
+
+    def test_malformed_model_table_rejected(self, library):
+        """A delay model whose table does not cover every gate, pin,
+        polarity and voltage is refused before any kernel reads it."""
+        from repro.errors import SimulationError
+
+        class TruncatedModel:
+            def delays_for_gates(self, type_ids, loads, nominal, voltages):
+                return np.ones(nominal.shape[:2] + (2, 1)) * 1e-11
+
+        circuit = random_circuit("lutbad", 8, 40, seed=42)
+        rng = np.random.default_rng(42)
+        pairs = [PatternPair.random(8, rng) for _ in range(3)]
+        sim = GpuWaveSim(circuit, library,
+                         config=SimulationConfig(backend="numpy"))
+        with pytest.raises(SimulationError, match="delay model returned"):
+            sim.run(pairs, plan=SlotPlan.cross(len(pairs), [0.6, 0.9]),
+                    kernel_table=TruncatedModel())
 
 
 class TestAnalyticalBackend:

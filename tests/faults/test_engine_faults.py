@@ -38,8 +38,8 @@ def make_engine(circuit, library, compiled, **config_kwargs):
 class TestDemotionLadder:
     def test_demote_walks_to_next_loadable_rung(self):
         floor = demote_backend("cext")
-        assert floor is not None  # numba may be absent; numpy never is
-        assert floor.name in ("numba", "numpy")
+        assert floor is not None
+        assert floor.name == "numpy"
         assert demote_backend("numpy") is None
 
     def test_transient_kernel_fault_is_retried_in_place(self, circuit,

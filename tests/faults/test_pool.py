@@ -93,6 +93,32 @@ class TestEnginePool:
         finally:
             pool.close()
 
+    def test_requeued_batch_runs_before_queued_ones(self, harness):
+        """A batch whose worker died re-runs next, ahead of batches
+        queued behind it — so its position never depends on how far
+        submission had run ahead when the worker died."""
+        first, second, third = make_batch(), make_batch(), make_batch()
+        queued = threading.Event()
+
+        def handler(batch):
+            if batch is first and first not in harness.executions:
+                harness.executions.append(batch)
+                queued.wait(timeout=10)
+                raise WorkerDeathError("test")
+            harness.handler(batch)
+
+        pool = make_pool(harness)
+        pool._handler = handler
+        try:
+            for batch in (first, second, third):
+                pool.submit(batch)
+            queued.set()
+            assert wait_for(lambda: len(harness.executions) == 4)
+            assert harness.executions == [first, first, second, third]
+            assert pool.stats()["batches_requeued"] == 1
+        finally:
+            pool.close()
+
     def test_second_loss_fails_the_batch(self, harness):
         pool = make_pool(harness)
         try:

@@ -13,6 +13,8 @@ import sys
 import numpy as np
 import pytest
 
+from repro.core.backends import AnalyticalDelayBackend, LutDelayBackend
+from repro.electrical.model import TransistorCorner
 from repro.errors import SimulationError
 from repro.netlist.generate import random_circuit
 from repro.simulation import backend as backend_mod
@@ -26,6 +28,7 @@ from repro.simulation.backend import (
 )
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
+from repro.simulation.delta import select_delta
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.kernels import merge_single
@@ -33,7 +36,14 @@ from repro.simulation.variation import ProcessVariation
 from repro.waveform.waveform import Waveform
 
 CONCRETE = available_backends()            # loadable on this machine
-JIT = [n for n in CONCRETE if n != "numpy"]
+NATIVE = [n for n in CONCRETE if n != "numpy"]
+
+
+def flip(bits, index):
+    """A copy of a bit vector with one bit inverted."""
+    flipped = bits.copy()
+    flipped[index] ^= 1
+    return flipped
 
 
 def make_pairs(circuit, count, seed=0):
@@ -87,25 +97,20 @@ class TestResolution:
         """
         import repro.simulation
 
-        for module in ("numba", "repro.simulation.kernels_numba",
-                       "repro.simulation.kernels_cext"):
-            monkeypatch.setitem(sys.modules, module, None)
-        for attr in ("kernels_numba", "kernels_cext"):
-            monkeypatch.delattr(repro.simulation, attr, raising=False)
+        monkeypatch.setitem(sys.modules, "repro.simulation.kernels_cext",
+                            None)
+        monkeypatch.delattr(repro.simulation, "kernels_cext", raising=False)
         assert resolve_backend("auto").name == "numpy"
         status = backend_status()
         assert status["numpy"] == "ok"
-        assert status["numba"] != "ok"
         assert status["cext"] != "ok"
-        # Failures are cached: the concrete names now report unavailable.
-        with pytest.raises(SimulationError, match="unavailable"):
-            resolve_backend("numba")
+        # Failures are cached: the concrete name now reports unavailable.
         with pytest.raises(SimulationError, match="unavailable"):
             resolve_backend("cext")
 
     def test_auto_prefers_jit_when_available(self):
-        if not JIT:
-            pytest.skip("no JIT backend loads on this machine")
+        if not NATIVE:
+            pytest.skip("no native backend loads on this machine")
         resolved = resolve_backend("auto").name
         assert resolved == next(n for n in AUTO_ORDER if n in CONCRETE)
 
@@ -188,7 +193,7 @@ class TestEngineEquivalence:
                 assert wa.initial == wb.initial, (slot, net)
                 assert wa.times.tolist() == wb.times.tolist(), (slot, net)
 
-    @pytest.mark.parametrize("backend_name", JIT)
+    @pytest.mark.parametrize("backend_name", NATIVE)
     @pytest.mark.parametrize("seed", [0, 3])
     @pytest.mark.parametrize("filtering", ["inertial", "transport"])
     def test_static_mode(self, library, backend_name, seed, filtering):
@@ -209,7 +214,7 @@ class TestEngineEquivalence:
         self.assert_identical(run("numpy"), run(backend_name), len(pairs),
                               circuit.nets())
 
-    @pytest.mark.parametrize("backend_name", JIT)
+    @pytest.mark.parametrize("backend_name", NATIVE)
     def test_parametric_multi_voltage(self, library, kernel_table,
                                       backend_name):
         circuit = random_circuit("beqv", 8, 120, seed=11)
@@ -226,7 +231,7 @@ class TestEngineEquivalence:
         self.assert_identical(run("numpy"), run(backend_name),
                               plan.num_slots, circuit.nets())
 
-    @pytest.mark.parametrize("backend_name", JIT)
+    @pytest.mark.parametrize("backend_name", NATIVE)
     def test_overflow_retry_path(self, library, backend_name):
         circuit = random_circuit("beqo", 12, 200, seed=6)
         compiled = compile_circuit(circuit, library)
@@ -244,7 +249,7 @@ class TestEngineEquivalence:
         self.assert_identical(run("numpy"), run(backend_name), len(pairs),
                               circuit.nets())
 
-    @pytest.mark.parametrize("backend_name", JIT)
+    @pytest.mark.parametrize("backend_name", NATIVE)
     def test_monte_carlo_factors(self, library, kernel_table, backend_name):
         circuit = random_circuit("beqm", 8, 100, seed=4)
         compiled = compile_circuit(circuit, library)
@@ -260,20 +265,58 @@ class TestEngineEquivalence:
         self.assert_identical(run("numpy"), run(backend_name), len(pairs),
                               circuit.nets())
 
-    @pytest.mark.parametrize("backend_name", JIT)
-    def test_delay_evaluation_matches(self, kernel_table, backend_name):
-        """Backend delays_for_gates is bit-identical to the table's own."""
-        backend = resolve_backend(backend_name)
-        rng = np.random.default_rng(13)
-        num_types = len(kernel_table.type_names)
-        type_ids = rng.integers(0, num_types, size=50)
-        pins = kernel_table.coefficients.shape[1]
-        loads = rng.uniform(1e-16, 5e-15, size=50)
-        nominal = rng.uniform(1e-12, 5e-11, size=(50, pins, 2))
-        voltages = np.asarray([0.55, 0.8, 1.05])
-        ours = backend.delays_for_gates(kernel_table, type_ids, loads,
-                                        nominal, voltages)
-        theirs = kernel_table.delays_for_gates(type_ids, loads, nominal,
-                                               voltages)
-        assert ours.shape == theirs.shape
-        assert np.array_equal(ours, theirs)
+    @pytest.mark.parametrize("backend_name", NATIVE)
+    @pytest.mark.parametrize("model", ["lut", "analytical"])
+    @pytest.mark.parametrize("path", ["dense", "sparse", "delta_cone"])
+    def test_delay_model_table(self, library, characterization,
+                               backend_name, model, path):
+        """LUT / analytical delay tables through every dispatch path.
+
+        The models fill a per-gate, per-voltage delay table that the
+        kernel reads in place of the nominal delays: dense whole-batch
+        dispatch, lane-compacted sparse dispatch (single-input-toggle
+        stimuli) and delta cone re-evaluation against a captured base
+        arena all match numpy bit for bit.
+        """
+        if model == "lut":
+            delays = LutDelayBackend.from_characterization(characterization)
+        else:
+            delays = AnalyticalDelayBackend.from_corner(
+                TransistorCorner.typical(), characterization.space)
+        circuit = random_circuit("beqd", 12, 150, seed=8)
+        compiled = compile_circuit(circuit, library)
+        pairs = make_pairs(circuit, 6, 8)
+        if path != "dense":
+            pairs = [PatternPair(p.v1, flip(p.v1, slot % 12))
+                     for slot, p in enumerate(pairs)]
+        plan = SlotPlan.cross(len(pairs), [0.6, 0.8, 1.0])
+        variant = [PatternPair(p.v1, flip(p.v2, 11)) for p in pairs]
+
+        def run(name):
+            config = SimulationConfig(record_all_nets=True, backend=name,
+                                      prune_inactive=path != "dense")
+            sim = GpuWaveSim(circuit, library, config=config,
+                             compiled=compiled)
+            if path != "delta_cone":
+                result = sim.run(pairs, plan=plan, kernel_table=delays)
+                stats = sim.last_stats
+                assert (stats.lanes_skipped > 0) == (path == "sparse")
+                return result, stats
+            base = sim.run(pairs, plan=plan, kernel_table=delays,
+                           capture_base=True).base_arena
+            v1 = np.stack([p.v1 for p in variant])
+            v2 = np.stack([p.v2 for p in variant])
+            delta, _ = select_delta([base], v1, v2, plan.pattern_indices,
+                                    plan.voltages, None, None, 0.99)
+            result = sim.run(variant, plan=plan, kernel_table=delays,
+                             delta=delta)
+            assert sim.last_stats.lanes_spliced > 0
+            return result, sim.last_stats
+
+        reference, ref_stats = run("numpy")
+        candidate, stats = run(backend_name)
+        self.assert_identical(reference, candidate, plan.num_slots,
+                              circuit.nets())
+        assert stats.gate_evaluations == ref_stats.gate_evaluations
+        assert stats.lanes_skipped == ref_stats.lanes_skipped
+        assert stats.lanes_spliced == ref_stats.lanes_spliced

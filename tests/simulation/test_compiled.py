@@ -73,10 +73,9 @@ class TestCompiledStructure:
         compiled = compile_circuit(circuit, library)
         seen = np.concatenate(compiled.levels)
         assert sorted(seen.tolist()) == list(range(compiled.num_gates))
-        # every level's groups cover the level exactly
-        for level, groups in zip(compiled.levels, compiled.level_groups):
-            grouped = np.concatenate([idx for _a, idx in groups])
-            assert sorted(grouped.tolist()) == sorted(level.tolist())
+        # every level's plan covers the level exactly
+        for level, plan in zip(compiled.levels, compiled.plans().levels):
+            assert sorted(plan.gate_indices.tolist()) == sorted(level.tolist())
 
     def test_custom_annotation_respected(self, library):
         circuit = c17()

@@ -1,14 +1,13 @@
-"""Fused level-plan execution: bit-identity, plan caching, phase timing.
+"""Level-plan execution: bit-identity, plan caching, phase timing.
 
-The contract under test (``compiled.py`` / ``gpu.py``): with
-``fused=True`` (the default) the engine walks one compacted
-:class:`LevelPlan` per level — one backend ``run_level`` call covering
-every arity group, with the 2-D Horner delay polynomial evaluated
-inside the merge loop — instead of one per-arity-group dispatch with
-materialized per-lane delay arrays.  Fusion is an execution-strategy
-change only: waveforms must be **bit identical** to the unfused path on
-every backend, for static, multi-voltage parametric, Monte-Carlo,
-overflow-retry and sparse lane-tracked workloads alike.
+The contract under test (``compiled.py`` / ``gpu.py``): the engine walks
+one compacted :class:`LevelPlan` per level — one backend ``run_level``
+call covering every arity group, with the 2-D Horner delay polynomial
+evaluated inside the merge loop.  The per-lane algorithm is the same on
+every backend, so waveforms must be **bit identical** to the numpy
+backend and equal to the independent event-driven oracle, for static,
+multi-voltage parametric, Monte-Carlo, overflow-retry and sparse
+lane-tracked workloads alike.
 """
 
 import numpy as np
@@ -22,6 +21,7 @@ from repro.simulation.compiled import (
     compile_circuit,
     level_plan_cache_stats,
 )
+from repro.simulation.event_driven import EventDrivenSimulator
 from repro.simulation.gpu import GpuWaveSim
 from repro.simulation.grid import SlotPlan
 from repro.simulation.variation import ProcessVariation
@@ -64,10 +64,10 @@ def assert_identical(reference, candidate, num_slots, nets):
             assert wa.times.tolist() == wb.times.tolist(), (slot, net)
 
 
-def run_engine(circuit, compiled, library, pairs, *, backend, fused,
+def run_engine(circuit, compiled, library, pairs, *, backend,
                plan=None, kernel_table=None, variation=None, capacity=None,
                prune=True):
-    kwargs = dict(record_all_nets=True, backend=backend, fused=fused,
+    kwargs = dict(record_all_nets=True, backend=backend,
                   prune_inactive=prune)
     if capacity is not None:
         kwargs["waveform_capacity"] = capacity
@@ -78,88 +78,109 @@ def run_engine(circuit, compiled, library, pairs, *, backend, fused,
     return result, sim.last_stats
 
 
+def event_driven(circuit, compiled, library, pairs, plan=None,
+                 kernel_table=None, variation=None):
+    """Per-slot waveforms of the serial event-driven oracle: one run
+    per distinct voltage, die factors keyed by global slot index."""
+    plan = plan or SlotPlan.uniform(len(pairs), 0.8)
+    sim = EventDrivenSimulator(circuit, library, compiled=compiled,
+                               config=SimulationConfig(record_all_nets=True))
+    waveforms = [None] * plan.num_slots
+    for voltage in np.unique(plan.voltages):
+        slots = np.nonzero(plan.voltages == voltage)[0]
+        result = sim.run([pairs[i] for i in plan.pattern_indices[slots]],
+                         voltage=float(voltage), kernel_table=kernel_table,
+                         variation=variation, slot_indices=slots)
+        for local, slot in enumerate(slots):
+            waveforms[slot] = result.waveforms[local]
+    return waveforms
+
+
+def assert_matches_references(circuit, compiled, library, pairs,
+                              backend_name, **kwargs):
+    """``backend == numpy`` bit for bit (waveforms and lane accounting)
+    and ``== event-driven``; returns the backend run's stats."""
+    candidate, stats = run_engine(circuit, compiled, library, pairs,
+                                  backend=backend_name, **kwargs)
+    reference, ref_stats = run_engine(circuit, compiled, library, pairs,
+                                      backend="numpy", **kwargs)
+    assert stats.backend == backend_name
+    assert_identical(reference, candidate, candidate.num_slots,
+                     circuit.nets())
+    assert stats.gate_evaluations == ref_stats.gate_evaluations
+    assert stats.lanes_skipped == ref_stats.lanes_skipped
+    oracle = event_driven(circuit, compiled, library, pairs,
+                          plan=kwargs.get("plan"),
+                          kernel_table=kwargs.get("kernel_table"),
+                          variation=kwargs.get("variation"))
+    for slot in range(candidate.num_slots):
+        for net in circuit.nets():
+            assert oracle[slot][net].equivalent(
+                candidate.waveform(slot, net), 0.0), (slot, net)
+    return stats
+
+
 class TestBitIdentity:
-    """Fused output must equal unfused output bit for bit, per backend."""
+    """Every backend equals numpy bit for bit and the event-driven
+    oracle exactly."""
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_static_delays(self, library, backend_name):
         circuit = random_circuit("fused_s", 8, 150, seed=31)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 6, 31)
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False)
-        fused, _ = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True)
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        assert_matches_references(circuit, compiled, library, pairs,
+                                  backend_name)
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_parametric_multi_voltage(self, library, kernel_table,
                                       backend_name):
-        """Voltage-dependent delays evaluated in-kernel (Horner inside
-        the merge loop) vs materialized per-lane arrays."""
+        """Voltage-dependent delays evaluated per (gate, voltage)."""
         circuit = random_circuit("fused_v", 8, 120, seed=33)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 4, 33)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.8, 1.0])
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False,
-                                plan=plan, kernel_table=kernel_table)
-        fused, _ = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True,
-                              plan=plan, kernel_table=kernel_table)
-        assert_identical(unfused, fused, plan.num_slots, circuit.nets())
+        assert_matches_references(circuit, compiled, library, pairs,
+                                  backend_name, plan=plan,
+                                  kernel_table=kernel_table)
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_monte_carlo_variation(self, library, kernel_table,
                                    backend_name):
-        """Per-slot die factors fold into the same fused entry point."""
+        """Per-slot die factors fold into the same level entry point."""
         circuit = random_circuit("fused_mc", 8, 120, seed=35)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 4, 35)
-        variation = ProcessVariation(sigma=0.1, seed=77)
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False,
-                                kernel_table=kernel_table,
-                                variation=variation)
-        fused, _ = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True,
-                              kernel_table=kernel_table,
-                              variation=variation)
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        assert_matches_references(
+            circuit, compiled, library, pairs, backend_name,
+            kernel_table=kernel_table,
+            variation=ProcessVariation(sigma=0.1, seed=77))
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_overflow_retry_path(self, library, kernel_table, backend_name):
-        """Capacity-doubling retries rerun the fused dispatch from
+        """Capacity-doubling retries rerun the level dispatch from
         scratch; plans and normalization memos must carry over clean."""
         circuit = random_circuit("fused_o", 12, 200, seed=36)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 6, 36)
-        unfused, _ = run_engine(circuit, compiled, library, pairs,
-                                backend=backend_name, fused=False,
-                                kernel_table=kernel_table, capacity=2)
-        fused, fstats = run_engine(circuit, compiled, library, pairs,
-                                   backend=backend_name, fused=True,
-                                   kernel_table=kernel_table, capacity=2)
-        assert fstats.retries >= 1, "workload must exercise the retry"
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        stats = assert_matches_references(
+            circuit, compiled, library, pairs, backend_name,
+            kernel_table=kernel_table, capacity=2)
+        assert stats.retries >= 1, "workload must exercise the retry"
 
     @pytest.mark.parametrize("backend_name", CONCRETE)
     def test_sparse_lane_tracked(self, library, backend_name):
-        """Mixed dense / lane-tracked / quiet slots: the fused path's
-        lane-compacted sparse dispatch and the activity accounting must
-        match the unfused path exactly."""
+        """Mixed dense / lane-tracked / quiet slots: the lane-compacted
+        sparse dispatch and the activity accounting must match numpy
+        exactly."""
         circuit = random_circuit("fused_l", 8, 150, seed=37)
         compiled = compile_circuit(circuit, library)
         pairs = (make_pairs(circuit, 4, 37) +
                  single_toggle_pairs(circuit, 4, 39) +
                  quiet_pairs(circuit, 4, 38))
-        unfused, ustats = run_engine(circuit, compiled, library, pairs,
-                                     backend=backend_name, fused=False)
-        fused, fstats = run_engine(circuit, compiled, library, pairs,
-                                   backend=backend_name, fused=True)
-        assert fstats.lanes_skipped == ustats.lanes_skipped > 0
-        assert fstats.gate_evaluations == ustats.gate_evaluations
-        assert_identical(unfused, fused, len(pairs), circuit.nets())
+        stats = assert_matches_references(circuit, compiled, library,
+                                          pairs, backend_name)
+        assert stats.lanes_skipped > 0
 
 
 class TestLevelPlans:
@@ -274,23 +295,31 @@ class TestPhaseTiming:
         pairs = make_pairs(circuit, 4, 47)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.8])
         _, stats = run_engine(circuit, compiled, library, pairs,
-                              backend=backend_name, fused=True,
+                              backend=backend_name,
                               plan=plan, kernel_table=kernel_table)
         phases = stats.phase_seconds()
         assert set(phases) == {"delay", "merge", "pack"}
         assert all(seconds >= 0.0 for seconds in phases.values())
-        # Merge covers the fused kernel work and pack the unpack/settle
+        # Merge covers the level kernel work and pack the unpack/settle
         # stage — both necessarily ran.
         assert phases["merge"] > 0.0
         assert phases["pack"] > 0.0
 
-    def test_unfused_reports_delay_phase(self, library, kernel_table):
-        """The per-arity-group path times delay evaluation separately."""
+    @pytest.mark.parametrize("model", ["polynomial", "lut"])
+    def test_materialized_delays_report_delay_phase(
+            self, library, characterization, kernel_table, model):
+        """Delays materialized outside the merge loop — numpy's
+        polynomial evaluation, any backend's delay-model table — are
+        timed as their own phase."""
+        from repro.core.backends import LutDelayBackend
+
+        delays = (kernel_table if model == "polynomial" else
+                  LutDelayBackend.from_characterization(characterization))
         circuit = random_circuit("fused_d", 8, 120, seed=48)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 4, 48)
         plan = SlotPlan.cross(len(pairs), [0.6, 0.8])
         _, stats = run_engine(circuit, compiled, library, pairs,
-                              backend="numpy", fused=False,
-                              plan=plan, kernel_table=kernel_table)
+                              backend="numpy",
+                              plan=plan, kernel_table=delays)
         assert stats.phase_seconds()["delay"] > 0.0

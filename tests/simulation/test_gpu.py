@@ -62,20 +62,6 @@ class TestEquivalenceWithEventDriven:
                 assert_equivalent(reference, pattern, full, int(slot),
                                   circuit.nets())
 
-    def test_group_by_arity_equivalent(self, library, kernel_table):
-        circuit = random_circuit("grp", 8, 100, seed=9)
-        config = SimulationConfig(record_all_nets=True)
-        compiled = compile_circuit(circuit, library)
-        pairs = make_pairs(circuit, 5, 9)
-        padded = GpuWaveSim(circuit, library, config=config, compiled=compiled,
-                            group_by_arity=False).run(
-            pairs, kernel_table=kernel_table)
-        grouped = GpuWaveSim(circuit, library, config=config, compiled=compiled,
-                             group_by_arity=True).run(
-            pairs, kernel_table=kernel_table)
-        for slot in range(len(pairs)):
-            assert_equivalent(padded, slot, grouped, slot, circuit.nets())
-
     def test_small_memory_budget_batches(self, library):
         """Tiny budget forces multiple batches; results must stitch."""
         circuit = random_circuit("mem", 8, 80, seed=5)
@@ -297,23 +283,20 @@ class TestSatelliteRegressions:
         for slot in range(len(pairs)):
             assert_equivalent(roomy, slot, tight, slot, circuit.nets())
 
-    @pytest.mark.parametrize("fused", [True, False])
     def test_delay_evaluation_reused_across_retries(self, library,
-                                                    kernel_table, fused):
+                                                    kernel_table):
         """Per-voltage polynomial evaluation depends only on the gates
         and distinct voltages — capacity-doubling retries reuse it.
 
-        Counted on the numpy backend, whose fused and unfused paths
-        both funnel through ``delays_from_normalized`` (the lane
-        backends evaluate delays inside the merge loop and never
-        materialize them at all)."""
+        Counted on the numpy backend, which funnels through
+        ``delays_from_normalized`` (cext evaluates delays inside the
+        merge loop and never materializes them at all)."""
         circuit = random_circuit("reuse", 12, 200, seed=6)
         compiled = compile_circuit(circuit, library)
         pairs = make_pairs(circuit, 8, 6)
         sim = GpuWaveSim(circuit, library, compiled=compiled,
                          config=SimulationConfig(waveform_capacity=2,
-                                                 backend="numpy",
-                                                 fused=fused))
+                                                 backend="numpy"))
         calls = []
         original = kernel_table.delays_from_normalized
 

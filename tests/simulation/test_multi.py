@@ -1,5 +1,7 @@
 """Tests for multi-device slot distribution."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.errors import SimulationError
 from repro.netlist.generate import random_circuit
 from repro.simulation.base import PatternPair, SimulationConfig
 from repro.simulation.compiled import compile_circuit
-from repro.simulation.gpu import GpuWaveSim
+from repro.simulation.gpu import GpuWaveSim, _BatchStats
 from repro.simulation.grid import SlotPlan
 from repro.simulation.multi import MultiDeviceWaveSim
 
@@ -83,6 +85,28 @@ class TestVariationComposition:
 
 
 class TestStatsAggregation:
+    def test_merge_sums_every_counter(self):
+        """Chunked runs fold their stats with ``_BatchStats.merge``:
+        every counter and timer sums (none silently dropped), demotion
+        steps append in order, and the later backend name wins."""
+        numeric = [f.name for f in dataclasses.fields(_BatchStats)
+                   if f.name not in ("backend", "demotions")]
+        first = _BatchStats(backend="cext", demotions=["a"])
+        second = _BatchStats(backend="numpy", demotions=["b"])
+        for offset, name in enumerate(numeric, start=1):
+            setattr(first, name, offset)
+            setattr(second, name, 100 * offset)
+        first.merge(second)
+        for offset, name in enumerate(numeric, start=1):
+            assert getattr(first, name) == 101 * offset, name
+        assert first.demotions == ["a", "b"]
+        assert first.backend == "numpy"
+        first.merge(None)
+        first.merge(_BatchStats())
+        assert first.backend == "numpy"
+        assert first.lanes_spliced == 101 * (numeric.index(
+            "lanes_spliced") + 1)
+
     def test_real_worker_stats_merged(self, setup, library):
         """gate_evaluations comes from the workers' _BatchStats, not a
         synthetic num_gates * num_slots estimate."""

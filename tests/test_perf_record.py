@@ -16,13 +16,6 @@ class TestMicroBenchmarks:
         assert entry["gate_evals_per_second"] > 0
         assert entry["params"]["lanes"] == 64
 
-    def test_delay_kernel_entry(self, kernel_table):
-        entry = record.bench_delay_kernel("numpy", kernel_table, gates=16,
-                                          repeats=1)
-        assert entry["name"] == "delays_for_gates"
-        assert entry["backend"] == "numpy"
-        assert entry["wall_seconds"] > 0
-
 
 def make_report(walls):
     return {"benchmarks": [
@@ -49,7 +42,7 @@ class TestRegressionGate:
 
     def test_unmatched_entries_skipped(self):
         """Machines legitimately differ in backend availability."""
-        baseline = make_report({("merge", "numba"): 0.1})
+        baseline = make_report({("merge", "numpy"): 0.1})
         current = make_report({("merge", "cext"): 5.0})
         assert record.compare_reports(current, baseline, 1.5) == []
 
@@ -90,15 +83,6 @@ class TestRegressionGate:
         ratios = record._parametric_ratios(benchmarks)
         assert ratios["x"]["numpy"] == pytest.approx(2.5)
         assert "cext" not in ratios["x"]
-
-    def test_dispatch_speedups_pair_fused_with_unfused(self):
-        benchmarks = make_report({
-            ("level_dispatch_fused", "cext"): 0.5,
-            ("level_dispatch_unfused", "cext"): 1.5,
-            ("level_dispatch_fused", "numpy"): 1.0,
-        })["benchmarks"]
-        speedups = record._dispatch_speedups(benchmarks)
-        assert speedups == {"cext": pytest.approx(3.0)}
 
     def test_parametric_ratio_regression_flagged(self):
         """The ratio gate fires even when every raw wall time improved."""
